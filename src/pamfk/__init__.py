@@ -14,10 +14,10 @@ from .kernels import (InnerProductInput, KernelEval, SegmentKernelInput,
                       eps_autocov, f_eps, h_eps, inner_geX_ge, inner_gX_ge,
                       path_increment_variance, prop41_variance, rho, s2, s3,
                       smooth_integral_variance)
-from .fk import (ClampError, EstimateResult, FkSample,
-                 GridFunctionalEvaluator, InitialCondition,
-                 estimate_annealed_moment, estimate_quenched,
-                 rough_functional, rough_functional_exact, smooth_functional)
+from .fk import (ClampError, EstimateResult, GridFunctionalEvaluator,
+                 InitialCondition, WalkBatch, WalkSnapError,
+                 estimate_annealed_moment, estimate_quenched, rough_functional,
+                 rough_functional_exact, smooth_functional)
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
 from .experiments import (EXPERIMENTS, ExperimentReport, RateFit, SweepSpec,
@@ -26,11 +26,12 @@ from .experiments import (EXPERIMENTS, ExperimentReport, RateFit, SweepSpec,
 __all__ = [
     "__version__",
     "BoxDomain", "ClampError", "EXPERIMENTS", "EpsilonDerivative",
-    "EstimateResult", "ExperimentReport", "FkSample",
+    "EstimateResult", "ExperimentReport",
     "GridFunctionalEvaluator", "HurstField", "HurstParameter",
     "InitialCondition", "InnerProductInput", "KernelEval", "LinearField",
     "RateFit", "RoughStats", "SegmentKernelInput", "SolverConfig",
-    "SweepSpec", "TimeGrid", "WalkConfig", "WalkPath", "ZeroField",
+    "SweepSpec", "TimeGrid", "WalkBatch", "WalkConfig", "WalkPath",
+    "WalkSnapError", "ZeroField",
     "covariance", "default_radius", "eps_autocov",
     "estimate_annealed_moment", "estimate_quenched", "f_eps", "fit_loglog",
     "h_eps", "increment_covariance", "inner_gX_ge", "inner_geX_ge",

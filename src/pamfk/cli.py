@@ -3,7 +3,9 @@
 Subcommands: generate, walk, kernels, solve, experiment, validate.
 Configuration is a flat JSON document of typed keys; unknown keys are
 rejected.  Exit codes: 0 all requested verdicts PASS and no clamps,
-1 a verdict FAILed, 2 configuration error.
+1 a verdict FAILed or a numerical failure (exponent clamp, quadrature
+not converging, no collision-free snapped walk, covariance not positive
+definite), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -15,15 +17,23 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid, ZeroField
-from .fk import InitialCondition, estimate_quenched
+from .fk import ClampError, InitialCondition, WalkSnapError, estimate_quenched
 from .pde import BoxDomain, SolverConfig, default_radius, solve_mollified
 from .experiments import EXPERIMENTS, SweepSpec, write_report
+from .quadrature import QuadratureError
 from .walk import WalkConfig, sample_walk
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
+
+# LinAlgError subclasses ValueError, so this tuple is caught before the
+# configuration-error handler.
+_NUMERICAL_ERRORS = (ClampError, QuadratureError, WalkSnapError,
+                     np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -316,6 +326,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _NUMERICAL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid
-from .fk import (GridFunctionalEvaluator, InitialCondition, estimate_quenched,
-                 sample_walk_snapped)
+from .fk import (GridFunctionalEvaluator, InitialCondition, WalkBatch,
+                 estimate_quenched, sample_walk_snapped)
 from .kernels import kernel_sweep_rows, prop41_variance
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
@@ -138,6 +138,11 @@ def _ueps_grid(spec: SweepSpec) -> TimeGrid:
     return TimeGrid(step, spec.horizon, pad=spec.epsilons[0])
 
 
+def _weights(ev: GridFunctionalEvaluator, walks: WalkBatch,
+             mode: str) -> np.ndarray:
+    return np.array([math.exp(x) for x in ev.exponents(walks, mode).tolist()])
+
+
 def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
     """Paired estimate of E|u_eps - u|^2 on shared (noise, walk) draws.
 
@@ -156,14 +161,13 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
         sq = np.zeros((len(spec.epsilons), spec.n_samples))
         for k in range(spec.n_samples):
             fld = HurstField(h, grid, mix64(spec.master_seed, 11, k)).freeze()
-            walks = [sample_walk_snapped(cfg, grid,
-                                         mix64(spec.master_seed, 13, k, j))
-                     for j in range(spec.n_inner)]
-            base = GridFunctionalEvaluator(fld)
-            rough_w = np.array([math.exp(base.rough(w)) for w in walks])
+            walks = WalkBatch([sample_walk_snapped(
+                cfg, grid, mix64(spec.master_seed, 13, k, j))
+                for j in range(spec.n_inner)], grid)
+            rough_w = _weights(GridFunctionalEvaluator(fld), walks, "rough")
             for e_i, eps in enumerate(spec.epsilons):
-                ev = GridFunctionalEvaluator(fld, eps)
-                smooth_w = np.array([math.exp(ev.smooth(w)) for w in walks])
+                smooth_w = _weights(GridFunctionalEvaluator(fld, eps), walks,
+                                    "smooth")
                 sq[e_i, k] = np.mean(smooth_w - rough_w) ** 2
         means = sq.mean(axis=1)
         stderrs = sq.std(axis=1, ddof=1) / math.sqrt(spec.n_samples)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as _dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +27,6 @@ _DIVISIBILITY_RTOL = 1e-9
 
 class ExactModeCapError(ValueError):
     """Too many times for exact joint sampling; use grid mode instead."""
-
-
-class FrozenFieldError(RuntimeError):
-    """Mutation attempted on a frozen field."""
 
 
 @dataclass(frozen=True)
@@ -253,9 +249,9 @@ class HurstField:
 
     Each site's path comes from a seed stream derived deterministically
     from (master_seed, site), so the field does not depend on the order
-    in which sites are first touched.  After freeze() the stored mapping
-    is immutable; paths for unseen sites are then computed on demand but
-    never cached, which keeps reads thread-safe.
+    in which sites are first touched.  Every path is drawn once and
+    cached, before and after freeze(); caching changes no value, and
+    paths_on_grid draws all missing sites of a known set in one batch.
     """
 
     def __init__(self, hurst: HurstParameter, grid: TimeGrid,
@@ -266,24 +262,19 @@ class HurstField:
         self._paths: dict[Site, np.ndarray] = {}
         self._frozen = False
 
-    def _make_path(self, site: Site) -> np.ndarray:
-        return sample_grid_path(self.hurst, self.grid,
-                                site_seed(self.master_seed, site))
-
     def path_on_grid(self, site: Site) -> np.ndarray:
-        site = tuple(site)
-        path = self._paths.get(site)
-        if path is None:
-            path = self._make_path(site)
-            if not self._frozen:
-                self._paths[site] = path
-        return path
+        return self.paths_on_grid([site])[0]
 
-    def ensure_sites(self, sites: Iterable[Site]) -> None:
-        if self._frozen:
-            raise FrozenFieldError("field is frozen")
-        for site in sites:
-            self.path_on_grid(site)
+    def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
+        """Paths of sites stacked row by row; missing ones drawn together."""
+        sites = [tuple(site) for site in sites]
+        missing = [s for s in dict.fromkeys(sites) if s not in self._paths]
+        if missing:
+            rows = sample_grid_paths(
+                self.hurst, self.grid,
+                [site_seed(self.master_seed, s) for s in missing])
+            self._paths.update(zip(missing, rows))
+        return np.array([self._paths[s] for s in sites])
 
     def freeze(self) -> "HurstField":
         self._frozen = True
@@ -315,6 +306,9 @@ class ZeroField:
     def path_on_grid(self, site: Site) -> np.ndarray:
         return np.zeros(self.grid.total_points)
 
+    def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
+        return np.zeros((len(sites), self.grid.total_points))
+
     def value(self, t: float, site: Site) -> float:
         return 0.0
 
@@ -337,6 +331,9 @@ class LinearField:
 
     def path_on_grid(self, site: Site) -> np.ndarray:
         return self.slopes.get(tuple(site), self.default) * self.grid.times
+
+    def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
+        return np.array([self.path_on_grid(site) for site in sites])
 
     def value(self, t: float, site: Site) -> float:
         return self.slopes.get(tuple(site), self.default) * t

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as _dc_field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,10 @@ EXP_CLAMP = 700.0
 
 class ClampError(RuntimeError):
     """An exponent hit the overflow clamp; the estimate is unreliable."""
+
+
+class WalkSnapError(RuntimeError):
+    """No walk with distinct snapped jump times within the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,6 @@ class InitialCondition:
 
 
 @dataclass(frozen=True)
-class FkSample:
-    walk_seed: int
-    rough_exponent: float
-    smooth_exponent: float | None
-    terminal_site: Site
-    weight: float
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     mean: float
     stderr: float
@@ -85,12 +81,59 @@ class EstimateResult:
     config: dict = _dc_field(default_factory=dict)
 
 
+class WalkBatch:
+    """Walks time-reversed and snapped to the grid once, for batch gathers.
+
+    Segment c of walk i sits at sites[row[i, c]] between the grid indices
+    lo[i, c] and hi[i, c], counted from the time-0 point and snapped with
+    the rounding of TimeGrid.snap_index.  Rows are padded to the longest
+    walk with lo = hi = 0 at row 0, so padding adds exactly +0.0.
+    """
+
+    def __init__(self, paths: Sequence[WalkPath], grid: TimeGrid) -> None:
+        self.paths = list(paths)
+        counts = np.array([p.jump_count for p in self.paths], dtype=np.intp)
+        width = int(counts.max(initial=0)) + 1
+        cols = np.arange(width + 1)
+        # reversed time bounds 0 = b_0 < b_1 < ... < b_{N+1} = horizon
+        bounds = np.zeros((len(counts), width + 1))
+        bounds[(cols >= 1) & (cols <= counts[:, None])] = [
+            p.horizon - t for p in self.paths for t in reversed(p.jump_times)]
+        bounds[cols == counts[:, None] + 1] = [p.horizon for p in self.paths]
+        idx = np.clip(np.rint(bounds / grid.step), 0, grid.count - 1)
+        idx = idx.astype(np.intp)
+        live = cols[:-1] <= counts[:, None]
+        self.lo = np.where(live, idx[:, :-1], 0)
+        self.hi = np.where(live, idx[:, 1:], 0)
+        rows: dict[Site, int] = {}
+        self.row = np.zeros((len(counts), width), dtype=np.intp)
+        self.row[live] = [rows.setdefault(site, len(rows))
+                          for p in self.paths for site in reversed(p.sites)]
+        self.sites = list(rows)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """Per-walk sum of table[site, hi] - table[site, lo] over segments.
+
+        Columns are added one at a time from 0.0, the order of a scalar
+        loop over one walk's segments, so every sum is bit-identical to it.
+        """
+        total = np.zeros(len(self))
+        for column in (table[self.row, self.hi]
+                       - table[self.row, self.lo]).T:
+            total += column
+        return total
+
+
 class GridFunctionalEvaluator:
     """Evaluates rough and mollified FK exponents against one grid field.
 
     Jump times are snapped to the nearest grid point, which keeps both
-    functionals on the same probability space; per-site cumulative
-    trapezoids make each walk O(jump count).
+    functionals on the same probability space.  A walk batch's exponents
+    are gathers from one per-site table: W on [0, horizon] for the rough
+    functional, the cumulative trapezoid of dW_eps for the smooth one.
     """
 
     def __init__(self, field, epsilon: float | None = None) -> None:
@@ -105,10 +148,6 @@ class GridFunctionalEvaluator:
         self._cum: dict[Site, np.ndarray] = {}
         self._zi = self.grid.zero_index
 
-    def _w(self, site: Site) -> np.ndarray:
-        """W on [0, horizon], indexed from the time-0 grid point."""
-        return self.field.path_on_grid(site)[self._zi:self._zi + self.grid.count]
-
     def _cum_dw(self, site: Site) -> np.ndarray:
         cum = self._cum.get(site)
         if cum is None:
@@ -118,27 +157,28 @@ class GridFunctionalEvaluator:
             self._cum[site] = cum
         return cum
 
-    def _snap(self, t: float) -> int:
-        j = round(t / self.grid.step)
-        return min(max(j, 0), self.grid.count - 1)
+    def exponents(self, batch: WalkBatch, mode: str) -> np.ndarray:
+        """Rough (W increment sum) or smooth (trapezoid integral of dW_eps)
+        exponent of every walk in the batch, along its reversed path."""
+        if mode == "smooth" and self._ed is None:
+            raise ValueError("evaluator built without epsilon")
+        if not len(batch):
+            return np.zeros(0)
+        # one draw for every missing site; _cum_dw then reads the cache
+        paths = self.field.paths_on_grid(batch.sites)
+        if mode == "rough":
+            table = paths[:, self._zi:self._zi + self.grid.count]
+        else:
+            table = np.array([self._cum_dw(site) for site in batch.sites])
+        return batch.gather(table)
 
     def rough(self, path: WalkPath) -> float:
         """Sum of W increments over the time-reversed path's segments."""
-        total = 0.0
-        for lo, hi, site in reverse_view(path).segments():
-            w = self._w(site)
-            total += w[self._snap(hi)] - w[self._snap(lo)]
-        return total
+        return self.exponents(WalkBatch([path], self.grid), "rough")[0]
 
     def smooth(self, path: WalkPath) -> float:
         """Trapezoid integral of dW_eps along the time-reversed path."""
-        if self._ed is None:
-            raise ValueError("evaluator built without epsilon")
-        total = 0.0
-        for lo, hi, site in reverse_view(path).segments():
-            cum = self._cum_dw(site)
-            total += cum[self._snap(hi)] - cum[self._snap(lo)]
-        return total
+        return self.exponents(WalkBatch([path], self.grid), "smooth")[0]
 
 
 def rough_functional(path: WalkPath, field) -> float:
@@ -185,7 +225,8 @@ def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
         if (len(set(idx)) == len(idx)
                 and all(0 < j < grid.count - 1 for j in idx)):
             return WalkPath(path.horizon, tuple(snapped), path.sites)
-    raise RuntimeError("could not sample a collision-free walk; grid too coarse")
+    raise WalkSnapError(
+        "could not sample a collision-free walk; grid too coarse")
 
 
 def _clamped_exp(x: float) -> tuple[float, int]:
@@ -194,16 +235,9 @@ def _clamped_exp(x: float) -> tuple[float, int]:
     return math.exp(x), 0
 
 
-def make_fk_sample(cfg: WalkConfig, ic: InitialCondition,
-                   evaluator: GridFunctionalEvaluator, mode: str,
-                   walk_seed: int) -> FkSample:
-    path = sample_walk_snapped(cfg, evaluator.grid, walk_seed)
-    rough = evaluator.rough(path)
-    smooth = evaluator.smooth(path) if evaluator.epsilon else None
-    exponent = rough if mode == "rough" else smooth
-    w, _ = _clamped_exp(exponent)
-    weight = ic(path.terminal_site()) * w
-    return FkSample(walk_seed, rough, smooth, path.terminal_site(), weight)
+# Walks per WalkBatch inside a block.  It caps the walk objects alive at
+# once; every exponent is independent of it.
+_BATCH_WALKS = 512
 
 
 def _weights_block(args) -> tuple[int, np.ndarray, int]:
@@ -211,13 +245,16 @@ def _weights_block(args) -> tuple[int, np.ndarray, int]:
     evaluator = GridFunctionalEvaluator(field, epsilon)
     out = np.empty(hi - lo)
     clamps = 0
-    for i in range(lo, hi):
-        path = sample_walk_snapped(cfg, field.grid, seed + i)
-        exponent = (evaluator.rough(path) if mode == "rough"
-                    else evaluator.smooth(path))
-        w, c = _clamped_exp(exponent)
-        clamps += c
-        out[i - lo] = ic(path.terminal_site()) * w
+    for start in range(lo, hi, _BATCH_WALKS):
+        stop = min(start + _BATCH_WALKS, hi)
+        batch = WalkBatch([sample_walk_snapped(cfg, field.grid, seed + i)
+                           for i in range(start, stop)], field.grid)
+        exponents = evaluator.exponents(batch, mode).tolist()
+        for i, (x, path) in enumerate(zip(exponents, batch.paths),
+                                      start - lo):
+            w, c = _clamped_exp(x)
+            clamps += c
+            out[i] = ic(path.terminal_site()) * w
     return lo, out, clamps
 
 

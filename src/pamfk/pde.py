@@ -96,11 +96,9 @@ def discrete_laplacian(u: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _dw_eps_midpoints(field, site: Site, epsilon: float,
+def _dw_eps_midpoints(grid: TimeGrid, path: np.ndarray, epsilon: float,
                       times: np.ndarray) -> np.ndarray:
-    """dW_eps(t, site) at arbitrary times via linear interpolation of W."""
-    grid = field.grid
-    path = field.path_on_grid(site)
+    """dW_eps at arbitrary times via linear interpolation of one W path."""
     w_plus = np.interp(times + epsilon, grid.times, path)
     w_minus = np.interp(times - epsilon, grid.times, path)
     return (w_plus - w_minus) / (2.0 * epsilon)
@@ -127,11 +125,11 @@ def solve_mollified(ic, field, cfg: SolverConfig, domain: BoxDomain,
     q3 = step_starts + 0.75 * dt
     dw1 = np.empty((n,) + shape)
     dw3 = np.empty((n,) + shape)
-    for off, site in zip(offsets, sites):
+    for off, path in zip(offsets, field.paths_on_grid(sites)):
         idx = tuple(o + domain.radius for o in off)
-        dw1[(slice(None),) + idx] = _dw_eps_midpoints(field, site,
+        dw1[(slice(None),) + idx] = _dw_eps_midpoints(field.grid, path,
                                                       cfg.epsilon, q1)
-        dw3[(slice(None),) + idx] = _dw_eps_midpoints(field, site,
+        dw3[(slice(None),) + idx] = _dw_eps_midpoints(field.grid, path,
                                                       cfg.epsilon, q3)
 
     u = np.array([ic(site) for site in sites]).reshape(shape)

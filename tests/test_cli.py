@@ -2,9 +2,15 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
+import pamfk.cli
+import pamfk.fbm
+import pamfk.fk
 from pamfk.cli import main
+from pamfk.fk import ClampError, WalkSnapError
+from pamfk.quadrature import QuadratureError
 
 
 def write_config(tmp_path, name="cfg.json", **data):
@@ -154,3 +160,54 @@ class TestExperimentCommand:
         assert head.startswith("# pamfk version=")
         assert "master_seed=77" in head
         assert "config_hash=" in head
+
+
+class TestNumericalFailures:
+    """Numerical failures exit 1 with one `error:` line, not a traceback."""
+
+    def _assert_exit_1(self, argv, capsys, text):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert text in err
+
+    def test_clamp_error(self, tmp_path, capsys, monkeypatch):
+        def clamped(*args, **kwargs):
+            raise ClampError("3 exponent(s) hit the overflow clamp")
+        monkeypatch.setattr(pamfk.cli, "estimate_quenched", clamped)
+        cfg = write_config(tmp_path, hurst=0.5, step=0.05, horizon=1.0,
+                           n_walks=10)
+        self._assert_exit_1(["solve", "--config", cfg,
+                             "--out", str(tmp_path / "o")], capsys, "clamp")
+
+    def test_quadrature_error(self, tmp_path, capsys, monkeypatch):
+        def diverges(spec):
+            raise QuadratureError("adaptive Simpson failed to converge")
+        monkeypatch.setitem(pamfk.cli.EXPERIMENTS, "kernel_sweep", diverges)
+        cfg = write_config(tmp_path, epsilons=[0.125, 0.0625, 0.03125,
+                                               0.015625])
+        self._assert_exit_1(["kernels", "--config", cfg,
+                             "--out", str(tmp_path / "o")], capsys,
+                            "failed to converge")
+
+    def test_walk_snap_error(self, tmp_path, capsys, monkeypatch):
+        def no_walk(cfg, grid, seed):
+            raise WalkSnapError("could not sample a collision-free walk")
+        monkeypatch.setattr(pamfk.fk, "sample_walk_snapped", no_walk)
+        cfg = write_config(tmp_path, hurst=0.5, step=0.05, horizon=1.0,
+                           n_walks=10)
+        self._assert_exit_1(["solve", "--config", cfg,
+                             "--out", str(tmp_path / "o")], capsys,
+                            "collision-free")
+
+    def test_linalg_error_is_not_a_config_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def not_psd(h, grid, seeds):
+            raise np.linalg.LinAlgError("covariance matrix not positive "
+                                        "definite")
+        monkeypatch.setattr(pamfk.fbm, "sample_grid_paths", not_psd)
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           sites=[[0]])
+        self._assert_exit_1(["generate", "--config", cfg,
+                             "--out", str(tmp_path / "o")], capsys,
+                            "positive definite")

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pamfk.experiments import (EXPERIMENTS, RateFit, SweepSpec, fit_loglog,
-                               fixed_jump_path, run_fk_pde_crosscheck,
-                               run_kernel_sweep, run_rate_sweep,
-                               run_rough_tail, run_ueps_convergence,
-                               write_report)
+from pamfk._seeds import mix64, site_seed
+from pamfk.experiments import (EXPERIMENTS, RateFit, SweepSpec, _ueps_grid,
+                               fit_loglog, fixed_jump_path,
+                               run_fk_pde_crosscheck, run_kernel_sweep,
+                               run_rate_sweep, run_rough_tail,
+                               run_ueps_convergence, write_report)
+from pamfk.fk import sample_walk_snapped
+from pamfk.walk import WalkConfig
 
 
 def test_sweep_spec_validation():
@@ -73,6 +76,22 @@ def test_ueps_convergence_brownian_small():
     means = [r["mean_sq_diff"] for r in report.rows]
     assert means[-1] < means[0]
     assert report.fits[0.5].slope > 0.5
+
+
+def test_ueps_outer_sample_draws_each_touched_site_once(fbm_draws):
+    spec = SweepSpec(hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
+                     n_samples=100, n_inner=5, master_seed=4)
+    run_ueps_convergence(spec)
+    grid = _ueps_grid(spec)
+    cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
+    expected = []
+    for k in range(spec.n_samples):
+        sites = {site for j in range(spec.n_inner)
+                 for site in sample_walk_snapped(
+                     cfg, grid, mix64(spec.master_seed, 13, k, j)).sites}
+        field_seed = mix64(spec.master_seed, 11, k)
+        expected += [site_seed(field_seed, site) for site in sites]
+    assert sorted(fbm_draws) == sorted(expected)
 
 
 def test_fk_pde_crosscheck_small():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pamfk._seeds import site_seed
 from pamfk.fbm import (EpsilonDerivative, ExactModeCapError, HurstField,
                        HurstParameter, LinearField, TimeGrid, ZeroField,
                        covariance, increment_covariance, sample_at_times,
@@ -216,7 +217,7 @@ class TestHurstField:
         f = HurstField(HurstParameter(0.4), g, 9)
         assert not np.array_equal(f.path_on_grid((0,)), f.path_on_grid((1,)))
 
-    def test_freeze_semantics(self):
+    def test_freeze_semantics(self, fbm_draws):
         g = TimeGrid(0.1, 1.0)
         f = HurstField(HurstParameter(0.4), g, 9)
         pre = f.path_on_grid((0,))
@@ -225,7 +226,23 @@ class TestHurstField:
         # reads still work and stay consistent after freezing
         assert np.array_equal(f.path_on_grid((0,)), pre)
         fresh = f.path_on_grid((5,))
+        assert len(fbm_draws) == 2
+        # a second read of a frozen field draws nothing
         assert np.array_equal(f.path_on_grid((5,)), fresh)
+        assert len(fbm_draws) == 2
+
+    def test_batch_read_draws_missing_sites_once(self, fbm_draws):
+        g = TimeGrid(0.05, 1.0, pad=0.1)
+        h = HurstParameter(0.3)
+        f = HurstField(h, g, 4).freeze()
+        one = f.path_on_grid((2,))
+        rows = f.paths_on_grid([(0,), (2,), (-1,), (0,)])
+        assert len(fbm_draws) == 3  # (2,) once, then (0,) and (-1,) together
+        assert np.array_equal(rows[1], one)
+        assert np.array_equal(rows[0], rows[3])
+        for row, site in zip(rows, [(0,), (2,), (-1,), (0,)]):
+            assert np.array_equal(row, sample_grid_path(h, g,
+                                                        site_seed(4, site)))
 
     def test_value_interpolates(self):
         g = TimeGrid(0.1, 1.0, pad=0.2)

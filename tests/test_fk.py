@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pamfk._seeds import mix64
-from pamfk.fbm import (HurstField, HurstParameter, LinearField, TimeGrid,
-                       ZeroField, sample_grid_paths)
+from pamfk.fbm import (EpsilonDerivative, HurstField, HurstParameter,
+                       LinearField, TimeGrid, ZeroField, sample_grid_paths)
 from pamfk.fk import (ClampError, GridFunctionalEvaluator, InitialCondition,
-                      annealed_mean_rough_oracle, estimate_annealed_moment,
-                      estimate_quenched, rough_functional,
-                      rough_functional_exact, sample_walk_snapped,
-                      smooth_functional)
+                      WalkBatch, WalkSnapError, annealed_mean_rough_oracle,
+                      estimate_annealed_moment, estimate_quenched,
+                      rough_functional, rough_functional_exact,
+                      sample_walk_snapped, smooth_functional)
 from pamfk.kernels import path_increment_variance, prop41_variance
 from pamfk.walk import WalkConfig, WalkPath, reverse_view, sample_walk
 
@@ -174,6 +174,96 @@ def test_variance_moment_bounds(seed, h_low, h_high):
     assert v_high <= (n + 1) * 1.0 + 1e-9
 
 
+def scalar_exponent(field, path, epsilon=None):
+    """One walk's exponent by a Python loop over its reversed segments.
+
+    The per-walk reference the batch gather must reproduce bit for bit:
+    W increments (rough) or cumulative-trapezoid increments of dW_eps
+    (smooth) at jump times snapped with round(t / step).
+    """
+    grid = field.grid
+    zi = grid.zero_index
+    if epsilon is None:
+        def table(site):
+            return field.path_on_grid(site)[zi:zi + grid.count]
+    else:
+        ed = EpsilonDerivative(field, epsilon)
+
+        def table(site):
+            dw = ed.grid_values(site)
+            return np.concatenate(
+                [[0.0], np.cumsum(0.5 * (dw[:-1] + dw[1:]) * grid.step)])
+
+    def snap(t):
+        return min(max(round(t / grid.step), 0), grid.count - 1)
+
+    total = 0.0
+    for lo, hi, site in reverse_view(path).segments():
+        t = table(site)
+        total += t[snap(hi)] - t[snap(lo)]
+    return total
+
+
+class TestWalkBatch:
+    EPS = 0.1
+    GRID = TimeGrid(EPS / 8, 1.0, pad=EPS)
+
+    def walks(self):
+        cfg = WalkConfig(1, 3.0, 1.0)
+        paths = [sample_walk_snapped(cfg, self.GRID, mix64(5, i))
+                 for i in range(200)]
+        paths.append(WalkPath(1.0, (), ((0,),)))
+        paths.append(WalkPath(1.0, (0.25, 0.5, 0.75),
+                              ((0,), (-1,), (-2,), (-1,))))
+        return paths
+
+    def fields(self):
+        g = self.GRID
+        return [HurstField(HurstParameter(0.3), g, 8).freeze(),
+                HurstField(HurstParameter(0.75), g, 9).freeze(),
+                LinearField(g, {(0,): 2.0, (-1,): -1.5}, default=0.5),
+                ZeroField(g)]
+
+    def test_walks_cover_edge_cases(self):
+        paths = self.walks()
+        assert any(p.jump_count == 0 for p in paths[:200])
+        assert any(min(s[0] for s in p.sites) < 0 for p in paths[:200])
+        assert len({p.jump_count for p in paths}) > 3  # padding is exercised
+
+    @pytest.mark.parametrize("mode", ["rough", "smooth"])
+    def test_batch_equals_scalar_loop_exactly(self, mode):
+        paths = self.walks()
+        batch = WalkBatch(paths, self.GRID)
+        eps = self.EPS if mode == "smooth" else None
+        for field in self.fields():
+            got = GridFunctionalEvaluator(field, self.EPS).exponents(batch,
+                                                                     mode)
+            want = np.array([scalar_exponent(field, p, eps) for p in paths])
+            assert np.array_equal(got, want)  # bitwise, not approx
+
+    def test_batch_of_one_wrappers(self):
+        field = self.fields()[0]
+        ev = GridFunctionalEvaluator(field, self.EPS)
+        for p in self.walks()[::20]:
+            assert ev.rough(p) == scalar_exponent(field, p)
+            assert ev.smooth(p) == scalar_exponent(field, p, self.EPS)
+
+    def test_padding_adds_positive_zero(self):
+        batch = WalkBatch([WalkPath(1.0, (), ((0,),)),
+                           WalkPath(1.0, (0.5,), ((0,), (1,)))], self.GRID)
+        assert batch.lo.shape == batch.hi.shape == batch.row.shape == (2, 2)
+        assert batch.lo[0, 1] == batch.hi[0, 1] == batch.row[0, 1] == 0
+        out = GridFunctionalEvaluator(ZeroField(self.GRID)).exponents(
+            batch, "rough")
+        assert np.all(np.copysign(1.0, out) == 1.0)
+
+    def test_empty_batch(self):
+        batch = WalkBatch([], self.GRID)
+        field = self.fields()[0]
+        assert GridFunctionalEvaluator(field).exponents(batch,
+                                                        "rough").shape == (0,)
+
+
 class TestSnappedWalks:
     def test_distinct_grid_indices(self):
         g = TimeGrid(0.01, 1.0)
@@ -188,6 +278,13 @@ class TestSnappedWalks:
         g = TimeGrid(0.01, 1.0)
         cfg = WalkConfig(1, 5.0, 1.0)
         assert sample_walk_snapped(cfg, g, 3) == sample_walk_snapped(cfg, g, 3)
+
+    def test_too_coarse_grid_raises_named_error(self):
+        # one interior grid point cannot hold the ~50 jumps of a rate-50 walk
+        g = TimeGrid(0.5, 1.0)
+        with pytest.raises(WalkSnapError, match="grid too coarse"):
+            sample_walk_snapped(WalkConfig(1, 50.0, 1.0), g, 0)
+        assert issubclass(WalkSnapError, RuntimeError)
 
 
 class TestQuenchedEstimator:

@@ -1,0 +1,89 @@
+"""Golden regression hashes for the Monte Carlo hot paths.
+
+Each digest is the sha256 of outputs recorded with the per-walk scalar
+evaluator, before walk blocks were evaluated by batch gathers.  Any
+optimisation of the field, walk or evaluator layers must reproduce these
+bytes exactly: the estimators promise bitwise determinism given their
+seeds, so a changed digest is a changed result.
+
+Regenerate a digest only for a deliberate change of the numbers (new seed
+derivation, new sampling law), never to absorb a performance refactor.
+"""
+
+import hashlib
+import os
+
+from pamfk.cli import main as cli_main
+from pamfk.experiments import SweepSpec, run_ueps_convergence, write_report
+from pamfk.fbm import HurstField, HurstParameter, TimeGrid
+from pamfk.fk import InitialCondition, estimate_quenched
+from pamfk.walk import WalkConfig
+
+GOLDEN = {
+    "ueps_rows":
+        "f5ccb6c9479fb7214dd8f4d4300061e6004db43728fbc84f9f21e707cb1e68b0",
+    "quenched":
+        "60d5fec501e86e72ab909957ea88178ed2e36896145a0af7e922770c138e617d",
+    "solve_estimates":
+        "f8eb993741c2e6bedf8c9ec12f76dbb815f1107457a0a5d9012a81256f5267ed",
+    "solve_solution":
+        "64ed4aeef793df2f2932b7cce6115d9d2073dfcc8f998b7f9d226b9e51da0d2c",
+}
+
+README_CONFIG = ('{"hurst": 0.5, "step": 0.0125, "horizon": 1.0, '
+                 '"pad": 0.1, "kappa": 1.0, "epsilon": 0.1, '
+                 '"mode": "smooth", "n_walks": 400, "master_seed": 6, '
+                 '"run_pde": true}')
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def ueps_digest(tmp_dir: str) -> str:
+    spec = SweepSpec(hursts=(0.25, 0.75),
+                     epsilons=(0.1, 0.05, 0.025, 0.0125),
+                     n_samples=100, n_inner=10, master_seed=0)
+    csv_path, _ = write_report(run_ueps_convergence(spec), tmp_dir)
+    with open(csv_path, "rb") as fh:
+        return _sha(fh.read())
+
+
+def quenched_digest() -> str:
+    grid = TimeGrid(0.0125, 1.0, pad=0.1)
+    field = HurstField(HurstParameter(0.4), grid, 3).freeze()
+    cfg = WalkConfig(1, 1.0, 1.0)
+    ic = InitialCondition.constant()
+    parts = []
+    for mode, eps in (("rough", None), ("smooth", 0.1)):
+        est = estimate_quenched(cfg, ic, field, mode=mode, epsilon=eps,
+                                n_walks=500, seed=11)
+        parts.append(f"{mode} {est.mean!r} {est.stderr!r}")
+    return _sha("\n".join(parts).encode())
+
+
+def solve_digests(tmp_dir: str) -> tuple[str, str]:
+    cfg_path = os.path.join(tmp_dir, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        fh.write(README_CONFIG)
+    out = os.path.join(tmp_dir, "out")
+    assert cli_main(["solve", "--config", cfg_path, "--out", out]) == 0
+    digests = []
+    for name in ("estimates.csv", "solution.csv"):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests.append(_sha(fh.read()))
+    return digests[0], digests[1]
+
+
+def test_ueps_rows_golden(tmp_path):
+    assert ueps_digest(str(tmp_path)) == GOLDEN["ueps_rows"]
+
+
+def test_quenched_golden():
+    assert quenched_digest() == GOLDEN["quenched"]
+
+
+def test_solve_readme_golden(tmp_path):
+    est, sol = solve_digests(str(tmp_path))
+    assert est == GOLDEN["solve_estimates"]
+    assert sol == GOLDEN["solve_solution"]

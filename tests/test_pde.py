@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pamfk._seeds import mix64
+from pamfk._seeds import mix64, site_seed
 from pamfk.fbm import HurstField, HurstParameter, TimeGrid, ZeroField
 from pamfk.fk import InitialCondition, estimate_quenched
 from pamfk.pde import (BoxDomain, SolverConfig, default_radius,
@@ -156,6 +156,16 @@ class TestNoisySolver:
         pde_val = solve_mollified(ic, f, scfg, dom, (0,))[(0,)]
         rich = richardson_check(ic, f, scfg, dom, (0,))
         assert abs(est.mean - pde_val) <= 3 * est.stderr + rich
+
+    def test_solve_then_richardson_draws_each_box_site_once(self,
+                                                             fbm_draws):
+        g, f = _noisy_setup(seed=5)
+        ic = InitialCondition.indicator((0,))
+        dom = BoxDomain(1, 6)
+        solve_mollified(ic, f, _solver(g), dom, (0,))
+        richardson_check(ic, f, _solver(g), dom, (0,))
+        assert sorted(fbm_draws) == sorted(
+            site_seed(5, (x,)) for x in range(-6, 7))
 
     def test_2d_runs(self):
         eps = 0.1
