@@ -5,8 +5,8 @@ validation experiment campaigns."""
 
 __version__ = "0.1.0"
 
-from .fbm import (EpsilonDerivative, HurstField, HurstParameter, LinearField,
-                  TimeGrid, ZeroField, covariance, increment_covariance,
+from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
+                  ZeroField, covariance, increment_covariance,
                   sample_at_times, sample_grid_path, sample_grid_paths)
 from .walk import (RoughStats, WalkConfig, WalkPath, reverse_view,
                    rough_stats, sample_walk)
@@ -28,7 +28,7 @@ __all__ = [
     "BoxDomain", "ClampError", "EXPERIMENTS", "EpsilonDerivative",
     "EstimateResult", "ExperimentReport",
     "GridFunctionalEvaluator", "HurstField", "HurstParameter",
-    "InitialCondition", "InnerProductInput", "KernelEval", "LinearField",
+    "InitialCondition", "InnerProductInput", "KernelEval",
     "RateFit", "RoughStats", "SegmentKernelInput", "SolverConfig",
     "SweepSpec", "TimeGrid", "WalkBatch", "WalkConfig", "WalkPath",
     "WalkSnapError", "ZeroField",

@@ -11,7 +11,7 @@ definite), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +24,7 @@ from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid, ZeroField
 from .fk import ClampError, InitialCondition, WalkSnapError, estimate_quenched
 from .pde import BoxDomain, SolverConfig, default_radius, solve_mollified
-from .experiments import EXPERIMENTS, SweepSpec, write_report
+from .experiments import EXPERIMENTS, SweepSpec, write_csv, write_report
 from .quadrature import QuadratureError
 from .walk import WalkConfig, sample_walk
 
@@ -69,6 +69,9 @@ class RunConfig:
             want = _KNOWN_KEYS[key]
             if want in (float, int) and isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
+                if want is int and not float(value).is_integer():
+                    raise ConfigError(
+                        f"config key {key!r} must be int, got {value!r}")
                 value = want(value)
             elif not isinstance(value, want):
                 raise ConfigError(
@@ -114,18 +117,6 @@ class RunConfig:
                 f"master_seed={self.data['master_seed']}",)
 
 
-def _write_csv(path: str, fieldnames, rows, header_lines) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float)
-                             else str(v) for v in row])
-
-
 def _grid(cfg: RunConfig) -> TimeGrid:
     step, horizon = cfg.require("step", "horizon")
     return TimeGrid(step, horizon, cfg.get("pad", 0.0))
@@ -161,9 +152,9 @@ def cmd_generate(cfg: RunConfig) -> int:
         zi = grid.zero_index
         for j in range(grid.count):
             rows.append([*site, j * grid.step, float(path[zi + j])])
-    _write_csv(os.path.join(cfg.get("out"), "fbm_paths.csv"),
-               [f"x{i}" for i in range(dims)] + ["t", "w"],
-               rows, cfg.header_lines())
+    write_csv(os.path.join(cfg.get("out"), "fbm_paths.csv"),
+              [f"x{i}" for i in range(dims)] + ["t", "w"],
+              rows, cfg.header_lines())
     return EXIT_OK
 
 
@@ -176,10 +167,10 @@ def cmd_walk(cfg: RunConfig) -> int:
         rows.append([k, 0, 0.0, *wcfg.start])
         for j, (t, site) in enumerate(zip(path.jump_times, path.sites[1:])):
             rows.append([k, j + 1, t, *site])
-    _write_csv(os.path.join(cfg.get("out"), "walks.csv"),
-               ["walk", "jump_index", "time"]
-               + [f"x{i}" for i in range(wcfg.dim)],
-               rows, cfg.header_lines())
+    write_csv(os.path.join(cfg.get("out"), "walks.csv"),
+              ["walk", "jump_index", "time"]
+              + [f"x{i}" for i in range(wcfg.dim)],
+              rows, cfg.header_lines())
     return EXIT_OK
 
 
@@ -201,10 +192,35 @@ def _sweep_spec(cfg: RunConfig) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
+def _run_experiments(cfg: RunConfig, names,
+                    ueps_epsilons: tuple[float, ...] | None = None) -> int:
+    """Run each named experiment on the config's sweep and write its report.
+
+    rough_tail gets the config's deltas and fk_pde_crosscheck its epsilon
+    and n_walks; ueps_epsilons, when given, replaces the epsilon ladder of
+    ueps_convergence only.  Returns EXIT_FAIL if any verdict failed.
+    """
+    spec = _sweep_spec(cfg)
+    status = EXIT_OK
+    for name in names:
+        run_spec, kwargs = spec, {}
+        if name == "rough_tail" and cfg.get("deltas"):
+            kwargs["deltas"] = tuple(float(d) for d in cfg.get("deltas"))
+        elif name == "fk_pde_crosscheck":
+            kwargs["n_walks"] = cfg.get("n_walks")
+            if cfg.get("epsilon"):
+                kwargs["epsilon"] = cfg.get("epsilon")
+        elif name == "ueps_convergence" and ueps_epsilons:
+            run_spec = dataclasses.replace(spec, epsilons=ueps_epsilons)
+        report = EXPERIMENTS[name](run_spec, **kwargs)
+        write_report(report, cfg.get("out"), cfg.header_lines())
+        if not report.passed:
+            status = EXIT_FAIL
+    return status
+
+
 def cmd_kernels(cfg: RunConfig) -> int:
-    report = EXPERIMENTS["kernel_sweep"](_sweep_spec(cfg))
-    write_report(report, cfg.get("out"), cfg.header_lines())
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return _run_experiments(cfg, ("kernel_sweep",))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -232,11 +248,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         rows.append([est.mode, hurst.h, kappa, wcfg.dim, horizon,
                      *wcfg.start, epsilon if epsilon is not None else "NA",
                      est.count, est.mean, est.stderr, est.seed, est.clamps])
-        _write_csv(os.path.join(cfg.get("out"), "estimates.csv"),
-                   ["mode", "H", "kappa", "d", "t"]
-                   + [f"x{i}" for i in range(wcfg.dim)]
-                   + ["eps", "n", "mean", "stderr", "seed", "clamps"],
-                   rows, cfg.header_lines())
+        write_csv(os.path.join(cfg.get("out"), "estimates.csv"),
+                  ["mode", "H", "kappa", "d", "t"]
+                  + [f"x{i}" for i in range(wcfg.dim)]
+                  + ["eps", "n", "mean", "stderr", "seed", "clamps"],
+                  rows, cfg.header_lines())
     if cfg.get("run_pde"):
         cfg.require("epsilon")
         radius = cfg.get("radius") or default_radius(kappa, horizon)
@@ -245,9 +261,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         scfg = SolverConfig(dt, kappa, grid, cfg.get("epsilon"))
         sol = solve_mollified(ic, field, scfg, domain, wcfg.start)
         srows = [[horizon, *site, val] for site, val in sorted(sol.items())]
-        _write_csv(os.path.join(cfg.get("out"), "solution.csv"),
-                   ["t"] + [f"x{i}" for i in range(wcfg.dim)] + ["u"],
-                   srows, cfg.header_lines())
+        write_csv(os.path.join(cfg.get("out"), "solution.csv"),
+                  ["t"] + [f"x{i}" for i in range(wcfg.dim)] + ["u"],
+                  srows, cfg.header_lines())
     return EXIT_OK if clamps == 0 else EXIT_FAIL
 
 
@@ -256,41 +272,19 @@ def cmd_experiment(cfg: RunConfig) -> int:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; "
                           f"choose from {sorted(EXPERIMENTS)}")
-    spec = _sweep_spec(cfg)
-    if name == "rough_tail" and cfg.get("deltas"):
-        report = EXPERIMENTS[name](spec,
-                                   tuple(float(d) for d in cfg.get("deltas")))
-    elif name == "fk_pde_crosscheck" and cfg.get("epsilon"):
-        report = EXPERIMENTS[name](spec, epsilon=cfg.get("epsilon"),
-                                   n_walks=cfg.get("n_walks"))
-    else:
-        report = EXPERIMENTS[name](spec)
-    write_report(report, cfg.get("out"), cfg.header_lines())
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return _run_experiments(cfg, (name,))
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    """Run the acceptance-style experiment bundle and write all reports."""
-    spec = _sweep_spec(cfg)
-    status = EXIT_OK
-    for name in ("kernel_sweep", "rate_sweep", "rough_tail",
-                 "ueps_convergence", "fk_pde_crosscheck"):
-        if name == "ueps_convergence":
-            eps = tuple(0.1 * 2.0 ** -k for k in range(4))
-            sub = SweepSpec(hursts=spec.hursts, epsilons=eps,
-                            kappa=spec.kappa, dim=spec.dim,
-                            horizon=spec.horizon, n_samples=spec.n_samples,
-                            master_seed=spec.master_seed,
-                            n_inner=spec.n_inner, workers=spec.workers)
-            report = EXPERIMENTS[name](sub)
-        elif name == "fk_pde_crosscheck":
-            report = EXPERIMENTS[name](spec, n_walks=cfg.get("n_walks"))
-        else:
-            report = EXPERIMENTS[name](spec)
-        write_report(report, cfg.get("out"), cfg.header_lines())
-        if not report.passed:
-            status = EXIT_FAIL
-    return status
+    """Run the acceptance-style experiment bundle and write all reports.
+
+    u_eps -> u runs on a fixed 4-level ladder, whatever the config's
+    epsilons, which keep driving the kernel and rate sweeps.
+    """
+    return _run_experiments(
+        cfg, ("kernel_sweep", "rate_sweep", "rough_tail", "ueps_convergence",
+              "fk_pde_crosscheck"),
+        ueps_epsilons=tuple(0.1 * 2.0 ** -k for k in range(4)))
 
 
 _COMMANDS = {

@@ -37,7 +37,6 @@ class SweepSpec:
     horizon: float = 1.0
     n_samples: int = 1000
     master_seed: int = 0
-    kind: str = ""
     jump_counts: tuple[int, ...] = (0, 3, 10)
     n_inner: int = 100
     n_realizations: int = 20
@@ -303,26 +302,31 @@ EXPERIMENTS = {
 }
 
 
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def write_csv(path: str, fieldnames, rows,
+              header_lines: tuple[str, ...] = ()) -> None:
+    """Write `# `-prefixed header lines, the field names and the rows.
+
+    Floats are written as repr(float(v)), which round-trips exactly;
+    every other value (bools, ints, strings) as str(v).
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float)
+                             else str(v) for v in row])
 
 
 def write_report(report: ExperimentReport, outdir: str,
                  header_lines: tuple[str, ...] = ()) -> tuple[str, str]:
     """Write <name>.csv and <name>.verdict.txt; returns the two paths."""
-    os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{report.name}.csv")
-    with open(csv_path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(report.fieldnames)
-        for row in report.rows:
-            writer.writerow([_format(row[k]) for k in report.fieldnames])
+    write_csv(csv_path, report.fieldnames,
+              ([row[k] for k in report.fieldnames] for row in report.rows),
+              header_lines)
     verdict_path = os.path.join(outdir, f"{report.name}.verdict.txt")
     with open(verdict_path, "w") as fh:
         fh.write(f"{'PASS' if report.passed else 'FAIL'}\n")

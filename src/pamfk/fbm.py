@@ -121,11 +121,6 @@ class TimeGrid:
                              f"[{-self.pad}, {self.horizon + self.pad}]")
         return i
 
-    def snap_index(self, t: float) -> int:
-        """Index of the nearest grid point (for jump-time snapping)."""
-        i = round((t + self.pad) / self.step)
-        return min(max(i, 0), self.total_points - 1)
-
 
 def fgn_autocovariance(h: HurstParameter, lags: np.ndarray) -> np.ndarray:
     """Autocovariance of unit-step fractional Gaussian noise at integer lags."""
@@ -313,32 +308,6 @@ class ZeroField:
         return 0.0
 
     def freeze(self) -> "ZeroField":
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return True
-
-
-class LinearField:
-    """Test stub with W(t, x) = slope_x * t, so dW_eps is exactly slope_x."""
-
-    def __init__(self, grid: TimeGrid, slopes: dict[Site, float],
-                 default: float = 0.0) -> None:
-        self.grid = grid
-        self.slopes = dict(slopes)
-        self.default = default
-
-    def path_on_grid(self, site: Site) -> np.ndarray:
-        return self.slopes.get(tuple(site), self.default) * self.grid.times
-
-    def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
-        return np.array([self.path_on_grid(site) for site in sites])
-
-    def value(self, t: float, site: Site) -> float:
-        return self.slopes.get(tuple(site), self.default) * t
-
-    def freeze(self) -> "LinearField":
         return self
 
     @property

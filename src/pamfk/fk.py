@@ -85,9 +85,10 @@ class WalkBatch:
     """Walks time-reversed and snapped to the grid once, for batch gathers.
 
     Segment c of walk i sits at sites[row[i, c]] between the grid indices
-    lo[i, c] and hi[i, c], counted from the time-0 point and snapped with
-    the rounding of TimeGrid.snap_index.  Rows are padded to the longest
-    walk with lo = hi = 0 at row 0, so padding adds exactly +0.0.
+    lo[i, c] and hi[i, c], counted from the time-0 point: each reversed
+    jump time t becomes round(t / step), clamped to [0, count - 1].  Rows
+    are padded to the longest walk with lo = hi = 0 at row 0, so padding
+    adds exactly +0.0.
     """
 
     def __init__(self, paths: Sequence[WalkPath], grid: TimeGrid) -> None:
@@ -194,10 +195,7 @@ def rough_functional_exact(path: WalkPath, hurst: HurstParameter,
     same noise_seed with the same path for reproducibility.
     """
     total = 0.0
-    by_site: dict[Site, list[tuple[float, float]]] = {}
-    for lo, hi, site in reverse_view(path).segments():
-        by_site.setdefault(site, []).append((lo, hi))
-    for site, segs in by_site.items():
+    for site, segs in reverse_view(path).segments_by_site().items():
         times = sorted({t for seg in segs for t in seg if t > 0.0})
         values = dict(zip(times, sample_at_times(
             hurst, times, site_seed(noise_seed, site))))

@@ -272,11 +272,18 @@ def _ab_term(h: HurstParameter, eps: float, a: float, b: float,
     return adaptive_simpson(integrand, a, b, tol=QUAD_TOL, kinks=kinks)
 
 
-def _segments_by_site(path: WalkPath):
-    groups: dict[Site, list[tuple[float, float]]] = {}
-    for lo, hi, site in path.segments():
-        groups.setdefault(site, []).append((lo, hi))
-    return groups
+def _pair_sum(path: WalkPath, term) -> float:
+    """Sum of term(a, b, c, d) over ordered pairs of same-site segments.
+
+    Fields at distinct sites are independent, so every path quadratic
+    form below is this sum with its own per-pair covariance term.
+    """
+    total = 0.0
+    for segs in path.segments_by_site().values():
+        for (a, b) in segs:
+            for (c, d) in segs:
+                total += term(a, b, c, d)
+    return total
 
 
 def prop41_variance(path: WalkPath, h: HurstParameter, epsilon: float,
@@ -290,36 +297,26 @@ def prop41_variance(path: WalkPath, h: HurstParameter, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    total = 0.0
-    for _site, segs in _segments_by_site(path).items():
-        for (a, b) in segs:
-            for (c, d) in segs:
-                aa = _aa_term(h, epsilon, a, b, c, d, method)
-                bb = increment_covariance(h, b, a, d, c)
-                ab = _ab_term(h, epsilon, a, b, c, d, method)
-                total += aa + bb - 2.0 * ab
-    return total
+
+    def term(a: float, b: float, c: float, d: float) -> float:
+        aa = _aa_term(h, epsilon, a, b, c, d, method)
+        bb = increment_covariance(h, b, a, d, c)
+        ab = _ab_term(h, epsilon, a, b, c, d, method)
+        return aa + bb - 2.0 * ab
+    return _pair_sum(path, term)
 
 
 def path_increment_variance(path: WalkPath, h: HurstParameter) -> float:
     """Variance of the rough increment sum along the path (exact)."""
-    total = 0.0
-    for _site, segs in _segments_by_site(path).items():
-        for (a, b) in segs:
-            for (c, d) in segs:
-                total += increment_covariance(h, b, a, d, c)
-    return total
+    return _pair_sum(path, lambda a, b, c, d:
+                     increment_covariance(h, b, a, d, c))
 
 
 def smooth_integral_variance(path: WalkPath, h: HurstParameter,
                              epsilon: float, method: str = "closed") -> float:
     """Variance of the mollified integral along the path (exact)."""
-    total = 0.0
-    for _site, segs in _segments_by_site(path).items():
-        for (a, b) in segs:
-            for (c, d) in segs:
-                total += _aa_term(h, epsilon, a, b, c, d, method)
-    return total
+    return _pair_sum(path, lambda a, b, c, d:
+                     _aa_term(h, epsilon, a, b, c, d, method))
 
 
 def kernel_sweep_rows(hursts: Sequence[float], epsilons: Sequence[float],

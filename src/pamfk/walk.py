@@ -70,6 +70,13 @@ class WalkPath:
         bounds = (0.0, *self.jump_times, self.horizon)
         return list(zip(bounds[:-1], bounds[1:], self.sites))
 
+    def segments_by_site(self) -> dict[Site, list[tuple[float, float]]]:
+        """The (t_i, t_{i+1}) segments grouped by site, in time order."""
+        groups: dict[Site, list[tuple[float, float]]] = {}
+        for lo, hi, site in self.segments():
+            groups.setdefault(site, []).append((lo, hi))
+        return groups
+
     def terminal_site(self) -> Site:
         return self.sites[-1]
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import pamfk.cli
 import pamfk.fbm
 import pamfk.fk
-from pamfk.cli import main
+from pamfk.cli import RunConfig, main
+from pamfk.experiments import EXPERIMENTS
 from pamfk.fk import ClampError, WalkSnapError
 from pamfk.quadrature import QuadratureError
+from test_golden import VALIDATE_CONFIG
 
 
 def write_config(tmp_path, name="cfg.json", **data):
@@ -81,6 +84,18 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, hurst="half", step=0.125, horizon=1.0)
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_integral_int_key(self, tmp_path, capsys):
+        for key, value in (("n_walks", 1000.7), ("dim", 1.9),
+                           ("master_seed", 3.99)):
+            cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                               **{key: value})
+            assert main(["generate", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
+        loaded = RunConfig({"n_walks": 4.0, "dim": 2.0})
+        assert loaded.get("n_walks") == 4 and type(loaded.get("n_walks")) is int
+        assert loaded.get("dim") == 2 and type(loaded.get("dim")) is int
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -160,6 +175,41 @@ class TestExperimentCommand:
         assert head.startswith("# pamfk version=")
         assert "master_seed=77" in head
         assert "config_hash=" in head
+
+
+# validate runs u_eps -> u on this ladder, whatever the config's epsilons.
+VALIDATE_UEPS_LADDER = [0.1, 0.05, 0.025, 0.0125]
+
+
+@pytest.mark.parametrize("extra", [{}, {"epsilon": 0.125,
+                                        "deltas": [0.2, 0.1, 0.05]}],
+                         ids=["defaults", "epsilon_and_deltas"])
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_csv_equals_validate_csv(tmp_path, name, extra):
+    """`experiment` and `validate` run a campaign with the same arguments.
+
+    Both runs read one config file (the experiment key is part of the
+    config hash in the CSV header), so their <name>.csv must be equal.
+    """
+    data = {**VALIDATE_CONFIG, **extra, "experiment": name}
+    if name == "ueps_convergence":
+        data["epsilons"] = VALIDATE_UEPS_LADDER
+    cfg = write_config(tmp_path, **data)
+    one, bundle = str(tmp_path / "one"), str(tmp_path / "bundle")
+    main(["experiment", "--config", cfg, "--out", one])
+    main(["validate", "--config", cfg, "--out", bundle])
+    a = open(os.path.join(one, f"{name}.csv"), "rb").read()
+    b = open(os.path.join(bundle, f"{name}.csv"), "rb").read()
+    assert a == b
+
+
+def test_readme_configs_load():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    blocks = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
+    assert len(blocks) >= 4
+    for block in blocks:
+        name = RunConfig(json.loads(block)).get("experiment")
+        assert name is None or name in EXPERIMENTS
 
 
 class TestNumericalFailures:

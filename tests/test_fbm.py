@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pamfk._seeds import site_seed
 from pamfk.fbm import (EpsilonDerivative, ExactModeCapError, HurstField,
-                       HurstParameter, LinearField, TimeGrid, ZeroField,
-                       covariance, increment_covariance, sample_at_times,
+                       HurstParameter, TimeGrid, ZeroField, covariance,
+                       increment_covariance, sample_at_times,
                        sample_grid_path, sample_grid_paths)
+from stub_fields import LinearField
 
 hursts = st.floats(min_value=0.05, max_value=0.95)
 times = st.floats(min_value=-5.0, max_value=5.0)
@@ -101,12 +102,6 @@ class TestTimeGrid:
             g.index_of(0.1)
         with pytest.raises(ValueError):
             g.index_of(2.0)
-
-    def test_snap_index_clamps(self):
-        g = TimeGrid(0.25, 1.0, pad=0.5)
-        assert g.snap_index(0.13) == 3
-        assert g.snap_index(-9.0) == 0
-        assert g.snap_index(9.0) == 8
 
 
 class TestGridSampler:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pamfk._seeds import mix64
 from pamfk.fbm import (EpsilonDerivative, HurstField, HurstParameter,
-                       LinearField, TimeGrid, ZeroField, sample_grid_paths)
+                       TimeGrid, ZeroField, sample_grid_paths)
 from pamfk.fk import (ClampError, GridFunctionalEvaluator, InitialCondition,
                       WalkBatch, WalkSnapError, annealed_mean_rough_oracle,
                       estimate_annealed_moment, estimate_quenched,
@@ -14,6 +14,7 @@ from pamfk.fk import (ClampError, GridFunctionalEvaluator, InitialCondition,
                       sample_walk_snapped, smooth_functional)
 from pamfk.kernels import path_increment_variance, prop41_variance
 from pamfk.walk import WalkConfig, WalkPath, reverse_view, sample_walk
+from stub_fields import LinearField
 
 
 class TestInitialCondition:

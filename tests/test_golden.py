@@ -1,23 +1,30 @@
 """Golden regression hashes for the Monte Carlo hot paths.
 
-Each digest is the sha256 of outputs recorded with the per-walk scalar
-evaluator, before walk blocks were evaluated by batch gathers.  Any
-optimisation of the field, walk or evaluator layers must reproduce these
-bytes exactly: the estimators promise bitwise determinism given their
-seeds, so a changed digest is a changed result.
+The first four digests are the sha256 of outputs recorded with the
+per-walk scalar evaluator, before walk blocks were evaluated by batch
+gathers.  The validate and kernels digests were recorded before the CLI
+dispatchers, the CSV writers and the segment-pair loops were merged.
+Any optimisation or refactor of the field, walk, kernel, evaluator or
+CLI layers must reproduce these bytes exactly: the estimators promise
+bitwise determinism given their seeds, so a changed digest is a changed
+result.
 
 Regenerate a digest only for a deliberate change of the numbers (new seed
 derivation, new sampling law), never to absorb a performance refactor.
 """
 
 import hashlib
+import json
 import os
 
 from pamfk.cli import main as cli_main
 from pamfk.experiments import SweepSpec, run_ueps_convergence, write_report
 from pamfk.fbm import HurstField, HurstParameter, TimeGrid
-from pamfk.fk import InitialCondition, estimate_quenched
-from pamfk.walk import WalkConfig
+from pamfk.fk import (InitialCondition, estimate_quenched,
+                      rough_functional_exact)
+from pamfk.kernels import (path_increment_variance, prop41_variance,
+                           smooth_integral_variance)
+from pamfk.walk import WalkConfig, sample_walk
 
 GOLDEN = {
     "ueps_rows":
@@ -28,12 +35,22 @@ GOLDEN = {
         "f8eb993741c2e6bedf8c9ec12f76dbb815f1107457a0a5d9012a81256f5267ed",
     "solve_solution":
         "64ed4aeef793df2f2932b7cce6115d9d2073dfcc8f998b7f9d226b9e51da0d2c",
+    "validate":
+        "81c65c263532c1be834af13cd16f1972b63fb37f4ba450a60d4c2ad0cdc39473",
+    "kernels":
+        "239140773c87fec167bb8b5ad403ca10d59000b5b2ff1cdf44d5e8d5a532f5ad",
 }
 
 README_CONFIG = ('{"hurst": 0.5, "step": 0.0125, "horizon": 1.0, '
                  '"pad": 0.1, "kappa": 1.0, "epsilon": 0.1, '
                  '"mode": "smooth", "n_walks": 400, "master_seed": 6, '
                  '"run_pde": true}')
+
+# The criterion-11 config of tests/test_acceptance.py.
+VALIDATE_CONFIG = {"hursts": [0.5], "epsilons": [0.25, 0.125, 0.0625, 0.03125],
+                   "horizon": 1.0, "kappa": 1.0, "n_samples": 100,
+                   "n_inner": 10, "n_realizations": 2, "n_walks": 300,
+                   "master_seed": 3}
 
 
 def _sha(data: bytes) -> str:
@@ -75,6 +92,45 @@ def solve_digests(tmp_dir: str) -> tuple[str, str]:
     return digests[0], digests[1]
 
 
+def validate_digest(tmp_dir: str) -> str:
+    """Digest of every file `pamfk validate` writes, keyed by file name."""
+    cfg_path = os.path.join(tmp_dir, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(VALIDATE_CONFIG, fh)
+    out = os.path.join(tmp_dir, "validate")
+    cli_main(["validate", "--config", cfg_path, "--out", out])
+    names = sorted(os.listdir(out))
+    assert len(names) == 10
+    h = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
+def kernels_digest() -> str:
+    """Exact per-path variances and exact-mode rough exponents on seeded
+    walks in d = 1 and d = 2, with a quadrature-oracle subset."""
+    parts = []
+    for dim in (1, 2):
+        cfg = WalkConfig(dim, 3.0, 1.0)
+        for seed in range(4):
+            path = sample_walk(cfg, 100 * dim + seed)
+            for hv in (0.25, 0.5, 0.75):
+                h = HurstParameter(hv)
+                parts.append(repr(path_increment_variance(path, h)))
+                parts.append(repr(rough_functional_exact(path, h, seed)))
+                for eps in (0.125, 0.03125):
+                    parts.append(repr(prop41_variance(path, h, eps)))
+                    parts.append(repr(smooth_integral_variance(path, h, eps)))
+                if seed == 0:
+                    parts.append(repr(prop41_variance(path, h, 0.125,
+                                                      method="quad")))
+                    parts.append(repr(smooth_integral_variance(
+                        path, h, 0.125, method="quad")))
+    return _sha("\n".join(parts).encode())
+
+
 def test_ueps_rows_golden(tmp_path):
     assert ueps_digest(str(tmp_path)) == GOLDEN["ueps_rows"]
 
@@ -87,3 +143,11 @@ def test_solve_readme_golden(tmp_path):
     est, sol = solve_digests(str(tmp_path))
     assert est == GOLDEN["solve_estimates"]
     assert sol == GOLDEN["solve_solution"]
+
+
+def test_validate_golden(tmp_path):
+    assert validate_digest(str(tmp_path)) == GOLDEN["validate"]
+
+
+def test_kernels_golden():
+    assert kernels_digest() == GOLDEN["kernels"]
