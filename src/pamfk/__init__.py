@@ -15,9 +15,8 @@ from .kernels import (InnerProductInput, KernelEval, SegmentKernelInput,
                       path_increment_variance, prop41_variance, rho, s2, s3,
                       smooth_integral_variance)
 from .fk import (ClampError, EstimateResult, GridFunctionalEvaluator,
-                 InitialCondition, WalkBatch, WalkSnapError,
-                 estimate_annealed_moment, estimate_quenched, rough_functional,
-                 rough_functional_exact, smooth_functional)
+                 InitialCondition, WalkBatch, WalkSnapError, estimate_quenched,
+                 estimate_annealed_moment, rough_functional_exact)
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
 from .experiments import (EXPERIMENTS, ExperimentReport, RateFit, SweepSpec,
@@ -35,9 +34,8 @@ __all__ = [
     "covariance", "default_radius", "eps_autocov",
     "estimate_annealed_moment", "estimate_quenched", "f_eps", "fit_loglog",
     "h_eps", "increment_covariance", "inner_gX_ge", "inner_geX_ge",
-    "path_increment_variance", "prop41_variance", "reverse_view",
-    "rho", "richardson_check", "rough_functional", "rough_functional_exact",
-    "rough_stats", "s2", "s3", "sample_at_times", "sample_grid_path",
-    "sample_grid_paths", "sample_walk", "smooth_functional",
+    "path_increment_variance", "prop41_variance", "reverse_view", "rho",
+    "richardson_check", "rough_functional_exact", "rough_stats", "s2", "s3",
+    "sample_at_times", "sample_grid_path", "sample_grid_paths", "sample_walk",
     "smooth_integral_variance", "solve_mollified", "write_report",
 ]

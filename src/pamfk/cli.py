@@ -5,7 +5,8 @@ Configuration is a flat JSON document of typed keys; unknown keys are
 rejected.  Exit codes: 0 all requested verdicts PASS and no clamps,
 1 a verdict FAILed or a numerical failure (exponent clamp, quadrature
 not converging, no collision-free snapped walk, covariance not positive
-definite), 2 configuration error.
+definite, circulant embedding not nonnegative definite), 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ _DEFAULTS = {
 }
 
 
+def _as_int(key: str, value) -> int:
+    """value as an int; a non-integral number is an error, not truncated."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} must be int, got {value!r}")
+    return int(value)
+
+
 class RunConfig:
     """Validated flat key-value configuration for one CLI invocation."""
 
@@ -67,15 +75,13 @@ class RunConfig:
             if key not in _KNOWN_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             want = _KNOWN_KEYS[key]
-            if want in (float, int) and isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                if want is int and not float(value).is_integer():
-                    raise ConfigError(
-                        f"config key {key!r} must be int, got {value!r}")
-                value = want(value)
+            if want in (float, int) and type(value) in (int, float):
+                value = _as_int(key, value) if want is int else float(value)
             elif not isinstance(value, want):
                 raise ConfigError(
                     f"config key {key!r} must be {want.__name__}")
+            if key == "epsilon" and value <= 0:
+                raise ConfigError("config key 'epsilon' must be > 0")
             data[key] = value
         self.data = {**_DEFAULTS, **data}
 
@@ -136,14 +142,16 @@ def _initial_condition(cfg: RunConfig) -> InitialCondition:
         return InitialCondition.constant(cfg.get("u0_value", 1.0))
     if kind == "indicator":
         site = cfg.get("u0_site") or [0] * cfg.get("dim", 1)
-        return InitialCondition.indicator(tuple(int(c) for c in site))
+        return InitialCondition.indicator(
+            [_as_int("u0_site", c) for c in site])
     raise ConfigError(f"unknown u0 kind {kind!r}")
 
 
 def cmd_generate(cfg: RunConfig) -> int:
     hurst = _hurst(cfg)
     grid = _grid(cfg)
-    sites = [tuple(int(c) for c in s) for s in cfg.get("sites") or [[0]]]
+    sites = [tuple(_as_int("sites", c) for c in s)
+             for s in cfg.get("sites") or [[0]]]
     field = HurstField(hurst, grid, cfg.get("master_seed"))
     dims = len(sites[0])
     rows = []
@@ -188,7 +196,8 @@ def _sweep_spec(cfg: RunConfig) -> SweepSpec:
     if cfg.get("horizon"):
         kwargs["horizon"] = cfg.get("horizon")
     if cfg.get("jump_counts"):
-        kwargs["jump_counts"] = tuple(int(n) for n in cfg.get("jump_counts"))
+        kwargs["jump_counts"] = tuple(_as_int("jump_counts", n)
+                                      for n in cfg.get("jump_counts"))
     return SweepSpec(**kwargs)
 
 
@@ -208,7 +217,7 @@ def _run_experiments(cfg: RunConfig, names,
             kwargs["deltas"] = tuple(float(d) for d in cfg.get("deltas"))
         elif name == "fk_pde_crosscheck":
             kwargs["n_walks"] = cfg.get("n_walks")
-            if cfg.get("epsilon"):
+            if cfg.get("epsilon") is not None:
                 kwargs["epsilon"] = cfg.get("epsilon")
         elif name == "ueps_convergence" and ueps_epsilons:
             run_spec = dataclasses.replace(spec, epsilons=ueps_epsilons)

@@ -2,10 +2,9 @@
 
 One independent fractional Brownian motion per lattice site, all with the
 same Hurst parameter.  Uniform-grid paths are drawn by circulant embedding
-of fractional Gaussian noise (with a Cholesky fallback), irregular time
-designs by exact joint Cholesky sampling.  The symmetric epsilon-derivative
-(W(t+eps) - W(t-eps)) / (2 eps) is the mollified noise used everywhere else
-in the package.
+of fractional Gaussian noise, irregular time designs by exact joint
+Cholesky sampling.  The symmetric epsilon-derivative (W(t+eps) - W(t-eps))
+/ (2 eps) is the mollified noise used everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -130,14 +129,16 @@ def fgn_autocovariance(h: HurstParameter, lags: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _circulant_eigenvalues(two_h: float, n: int) -> np.ndarray | None:
-    """Eigenvalues of the circulant embedding, or None if it fails to be PSD."""
+def _circulant_eigenvalues(two_h: float, n: int) -> np.ndarray:
+    """Eigenvalues of the circulant embedding of n fGn steps; it is
+    nonnegative definite for every H (Dietrich & Newsam 1997)."""
     h = HurstParameter(two_h / 2.0)
     rho = fgn_autocovariance(h, np.arange(n + 1))
     c = np.concatenate([rho, rho[-2:0:-1]])  # length 2n
     lam = np.fft.fft(c).real
     if lam.min() < -1e-9 * lam.max():
-        return None
+        raise np.linalg.LinAlgError(
+            f"circulant embedding not nonnegative definite (H={h.h}, n={n})")
     return np.clip(lam, 0.0, None)
 
 
@@ -156,19 +157,9 @@ def _normals_to_spectral(z: np.ndarray, n: int) -> np.ndarray:
 def _fgn_from_normals(h: HurstParameter, n: int, z: np.ndarray) -> np.ndarray:
     """Unit-step fGn of length n from a (..., 2n) block of standard normals."""
     lam = _circulant_eigenvalues(h.two_h, n)
-    if lam is None:
-        return _fgn_cholesky(h, n, z[..., :n])
     m = 2 * n
     spec = _normals_to_spectral(z, n)
     return np.sqrt(m) * np.fft.ifft(np.sqrt(lam) * spec).real[..., :n]
-
-
-def _fgn_cholesky(h: HurstParameter, n: int, z: np.ndarray) -> np.ndarray:
-    """Cholesky fallback for when the circulant embedding is not PSD."""
-    lags = np.arange(n)
-    cov = fgn_autocovariance(h, np.abs(lags[:, None] - lags[None, :]))
-    chol = _cholesky_with_jitter(cov)
-    return z @ chol.T
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -214,26 +205,24 @@ def sample_grid_paths(h: HurstParameter, grid: TimeGrid,
 
 @functools.lru_cache(maxsize=64)
 def _exact_cholesky(two_h: float, times: tuple[float, ...]) -> np.ndarray:
-    h = HurstParameter(two_h / 2.0)
     t = np.asarray(times)
-    p = h.two_h
-    cov = 0.5 * (np.abs(t[:, None]) ** p + np.abs(t[None, :]) ** p
-                 - np.abs(t[:, None] - t[None, :]) ** p)
+    cov = 0.5 * (np.abs(t[:, None]) ** two_h + np.abs(t[None, :]) ** two_h
+                 - np.abs(t[:, None] - t[None, :]) ** two_h)
     return _cholesky_with_jitter(cov)
 
 
-def sample_at_times(h: HurstParameter, times: Sequence[float], seed: int,
-                    cap: int = EXACT_MODE_CAP) -> np.ndarray:
+def sample_at_times(h: HurstParameter, times: Sequence[float],
+                    seed: int) -> np.ndarray:
     """Exact joint draw of (W(t_1), ..., W(t_k)) at strictly increasing times."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing and > 0")
-    if len(t) > cap:
+    if len(t) > EXACT_MODE_CAP:
         raise ExactModeCapError(
-            f"{len(t)} times exceeds the exact-mode cap of {cap}; "
-            "use grid mode instead")
+            f"{len(t)} times exceeds the exact-mode cap of "
+            f"{EXACT_MODE_CAP}; use grid mode instead")
     chol = _exact_cholesky(h.two_h, tuple(t))
     z = np.random.default_rng(seed).standard_normal(len(t))
     return chol @ z

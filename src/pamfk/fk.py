@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._seeds import mix64, site_seed
 from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
-                  sample_at_times)
+                  ZeroField, sample_at_times)
 from .kernels import path_increment_variance
 from .walk import Site, WalkConfig, WalkPath, reverse_view, sample_walk
 
@@ -35,39 +35,23 @@ class WalkSnapError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Bounded initial datum u_o: constant, single-site indicator, or table."""
+    """Bounded initial datum u_o: a constant, or the indicator of one site."""
 
-    kind: str
     value: float = 1.0
     site: Site | None = None
-    table: dict | None = None
 
     @classmethod
     def constant(cls, c: float = 1.0) -> "InitialCondition":
-        return cls("constant", value=c)
+        return cls(value=c)
 
     @classmethod
     def indicator(cls, site: Site) -> "InitialCondition":
-        return cls("indicator", site=tuple(site))
-
-    @classmethod
-    def from_table(cls, table: dict) -> "InitialCondition":
-        return cls("table", table={tuple(k): float(v) for k, v in table.items()})
-
-    @property
-    def bound(self) -> float:
-        if self.kind == "constant":
-            return abs(self.value)
-        if self.kind == "indicator":
-            return 1.0
-        return max((abs(v) for v in self.table.values()), default=0.0)
+        return cls(site=tuple(site))
 
     def __call__(self, site: Site) -> float:
-        if self.kind == "constant":
+        if self.site is None:
             return self.value
-        if self.kind == "indicator":
-            return 1.0 if tuple(site) == self.site else 0.0
-        return self.table.get(tuple(site), 0.0)
+        return 1.0 if tuple(site) == self.site else 0.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +62,6 @@ class EstimateResult:
     mode: str
     seed: int
     clamps: int = 0
-    config: dict = _dc_field(default_factory=dict)
 
 
 class WalkBatch:
@@ -140,7 +123,6 @@ class GridFunctionalEvaluator:
     def __init__(self, field, epsilon: float | None = None) -> None:
         self.field = field
         self.grid: TimeGrid = field.grid
-        self.epsilon = epsilon
         self._ed = EpsilonDerivative(field, epsilon) if epsilon else None
         if epsilon is not None and epsilon < 4.0 * self.grid.step - 1e-12:
             raise ValueError(
@@ -182,11 +164,6 @@ class GridFunctionalEvaluator:
         return self.exponents(WalkBatch([path], self.grid), "smooth")[0]
 
 
-def rough_functional(path: WalkPath, field) -> float:
-    """Grid-mode rough FK exponent for one walk against one field."""
-    return GridFunctionalEvaluator(field).rough(path)
-
-
 def rough_functional_exact(path: WalkPath, hurst: HurstParameter,
                            noise_seed: int) -> float:
     """Exact-mode rough FK exponent: joint Cholesky draws per site.
@@ -203,11 +180,6 @@ def rough_functional_exact(path: WalkPath, hurst: HurstParameter,
         for lo, hi in segs:
             total += values[hi] - values[lo]
     return total
-
-
-def smooth_functional(path: WalkPath, ed: EpsilonDerivative) -> float:
-    """Grid-mode mollified FK exponent for one walk."""
-    return GridFunctionalEvaluator(ed.field, ed.epsilon).smooth(path)
 
 
 def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
@@ -291,9 +263,7 @@ def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
     std = float(np.std(weights, ddof=1)) if n_walks > 1 else 0.0
     return EstimateResult(
         mean=mean, stderr=std / math.sqrt(n_walks), count=n_walks,
-        mode=f"quenched-{mode}", seed=seed, clamps=clamps,
-        config={"kappa": cfg.kappa, "dim": cfg.dim, "t": cfg.horizon,
-                "epsilon": epsilon})
+        mode=f"quenched-{mode}", seed=seed, clamps=clamps)
 
 
 def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
@@ -301,7 +271,7 @@ def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
                              p: float = 1.0, mode: str = "rough",
                              epsilon: float | None = None,
                              n_outer: int = 200, n_inner: int = 200,
-                             seed: int = 0, workers: int = 1,
+                             seed: int = 0,
                              noise: bool = True) -> EstimateResult:
     """Nested Monte Carlo estimate of E|u(t,x)|^p (or E|u_eps|^p).
 
@@ -311,7 +281,6 @@ def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    from .fbm import ZeroField
     samples = np.empty(n_outer)
     for k in range(n_outer):
         if noise:
@@ -319,15 +288,13 @@ def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
         else:
             fld = ZeroField(grid)
         inner = estimate_quenched(cfg, ic, fld, mode=mode, epsilon=epsilon,
-                                  n_walks=n_inner, seed=mix64(seed, k, 1),
-                                  workers=workers)
+                                  n_walks=n_inner, seed=mix64(seed, k, 1))
         samples[k] = abs(inner.mean) ** p
     mean = float(np.mean(samples))
     std = float(np.std(samples, ddof=1)) if n_outer > 1 else 0.0
     return EstimateResult(
         mean=mean, stderr=std / math.sqrt(n_outer), count=n_outer,
-        mode=f"annealed-{mode}", seed=seed,
-        config={"p": p, "epsilon": epsilon, "n_inner": n_inner})
+        mode=f"annealed-{mode}", seed=seed)
 
 
 def annealed_mean_rough_oracle(cfg: WalkConfig, hurst: HurstParameter,

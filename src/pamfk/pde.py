@@ -24,13 +24,10 @@ class BoxDomain:
 
     dim: int
     radius: int
-    boundary: str = "dirichlet_zero"
 
     def __post_init__(self) -> None:
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if self.boundary != "dirichlet_zero":
-            raise ValueError("only dirichlet_zero boundaries are supported")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,11 +54,8 @@ class SolverConfig:
     kappa: float
     grid: TimeGrid
     epsilon: float
-    scheme: str = "strang_splitting"
 
     def __post_init__(self) -> None:
-        if self.scheme != "strang_splitting":
-            raise ValueError("only strang_splitting is supported")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.dt > 0.25 / self.kappa + 1e-12:

@@ -12,6 +12,11 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 
+# Bisections of every kink-free piece before an error estimate may accept
+# it; coarser 3- and 5-point Simpson sums can agree by chance.
+MIN_DEPTH = 2
+
+
 class QuadratureError(RuntimeError):
     """Raised when the recursion limit is hit before reaching tolerance."""
 
@@ -45,8 +50,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     """Integrate f over [a, b] to absolute tolerance tol.
 
     kinks: interior points where the integrand is non-smooth; the domain
-    is split there first and each piece gets a proportional share of the
-    tolerance budget.
+    is split there first, each piece is cut into 2**MIN_DEPTH equal parts
+    and every part gets a proportional share of the tolerance budget.
     """
     if b < a:
         return -adaptive_simpson(f, b, a, tol, kinks, max_depth)
@@ -59,11 +64,14 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         if k - pts[-1] > gap and b - k > gap:
             pts.append(k)
     pts.append(b)
+    splits = 2 ** MIN_DEPTH
+    pts = [lo + (hi - lo) * k / splits
+           for lo, hi in zip(pts[:-1], pts[1:]) for k in range(splits)] + [b]
+    fpts = [f(x) for x in pts]
     total = 0.0
     width = b - a
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    for lo, hi, flo, fhi in zip(pts[:-1], pts[1:], fpts[:-1], fpts[1:]):
         piece_tol = max(tol * (hi - lo) / width, 1e-300)
-        flo, fhi = f(lo), f(hi)
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         whole = _simpson(f, lo, flo, hi, fhi, mid, fmid)

@@ -97,6 +97,41 @@ class TestConfigValidation:
         assert loaded.get("n_walks") == 4 and type(loaded.get("n_walks")) is int
         assert loaded.get("dim") == 2 and type(loaded.get("dim")) is int
 
+    @pytest.mark.parametrize("command, data", [
+        ("experiment", {"experiment": "rate_sweep", "jump_counts": [3.7]}),
+        ("generate", {"hurst": 0.5, "step": 0.125, "horizon": 1.0,
+                      "sites": [[0], [1.5]]}),
+        ("solve", {"hurst": 0.5, "step": 0.125, "horizon": 1.0,
+                   "n_walks": 10, "u0": "indicator", "u0_site": [0.5]}),
+    ], ids=["jump_counts", "sites", "u0_site"])
+    def test_non_integral_list_element(self, tmp_path, capsys, command,
+                                       data):
+        key = next(k for k in data if isinstance(data[k], list))
+        cfg = write_config(tmp_path, **data)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_integral_float_list_elements_accepted(self, tmp_path):
+        spec = pamfk.cli._sweep_spec(RunConfig({"jump_counts": [3.0, 4]}))
+        assert spec.jump_counts == (3, 4)
+        ic = pamfk.cli._initial_condition(
+            RunConfig({"u0": "indicator", "u0_site": [2.0]}))
+        assert ic.site == (2,)
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           sites=[[1.0]])
+        out = str(tmp_path / "o")
+        assert main(["generate", "--config", cfg, "--out", out]) == 0
+        assert read_data_rows(os.path.join(out, "fbm_paths.csv"))[1][0] == "1"
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_non_positive_epsilon(self, tmp_path, capsys, epsilon):
+        cfg = write_config(tmp_path, experiment="fk_pde_crosscheck",
+                           n_walks=10, epsilon=epsilon)
+        assert main(["experiment", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

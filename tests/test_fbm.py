@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pamfk.fbm
 from pamfk._seeds import site_seed
 from pamfk.fbm import (EpsilonDerivative, ExactModeCapError, HurstField,
                        HurstParameter, TimeGrid, ZeroField, covariance,
-                       increment_covariance, sample_at_times,
-                       sample_grid_path, sample_grid_paths)
+                       fgn_autocovariance, increment_covariance,
+                       sample_at_times, sample_grid_path, sample_grid_paths)
 from stub_fields import LinearField
 
 hursts = st.floats(min_value=0.05, max_value=0.95)
@@ -158,6 +159,24 @@ class TestGridSampler:
         term = sample_grid_paths(h, g, range(n))[:, -1]
         stderr = math.sqrt(2.0 / (n - 1))
         assert abs(term.var(ddof=1) - 1.0) < 3 * stderr
+
+
+class TestCirculantEmbedding:
+    @given(st.floats(min_value=1e-6, max_value=0.999999),
+           st.integers(min_value=1, max_value=10001))
+    @settings(max_examples=200, deadline=None)
+    def test_nonnegative_definite(self, hv, n):
+        # the guarantee that makes a negative eigenvalue a hard error
+        rho = fgn_autocovariance(HurstParameter(hv), np.arange(n + 1))
+        lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+        assert lam.min() >= -1e-9 * lam.max()
+
+    def test_negative_eigenvalue_raises(self, monkeypatch):
+        # the n = 1 embedding of autocovariances (1, 2) has eigenvalues 3, -1
+        monkeypatch.setattr(pamfk.fbm, "fgn_autocovariance",
+                            lambda h, lags: np.array([1.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="nonnegative"):
+            pamfk.fbm._circulant_eigenvalues.__wrapped__(1.0, 1)
 
 
 class TestExactSampler:

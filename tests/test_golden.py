@@ -2,8 +2,12 @@
 
 The first four digests are the sha256 of outputs recorded with the
 per-walk scalar evaluator, before walk blocks were evaluated by batch
-gathers.  The validate and kernels digests were recorded before the CLI
-dispatchers, the CSV writers and the segment-pair loops were merged.
+gathers.  The validate digest was recorded before the CLI dispatchers,
+the CSV writers and the segment-pair loops were merged.  The kernels
+digest pins the closed forms and the exact mode; it was recorded before
+adaptive_simpson started to bisect every piece MIN_DEPTH times, a
+deliberate change of the quadrature oracle's values that the
+kernels_quad digest pins from then on.
 Any optimisation or refactor of the field, walk, kernel, evaluator or
 CLI layers must reproduce these bytes exactly: the estimators promise
 bitwise determinism given their seeds, so a changed digest is a changed
@@ -38,7 +42,9 @@ GOLDEN = {
     "validate":
         "81c65c263532c1be834af13cd16f1972b63fb37f4ba450a60d4c2ad0cdc39473",
     "kernels":
-        "239140773c87fec167bb8b5ad403ca10d59000b5b2ff1cdf44d5e8d5a532f5ad",
+        "06801d89c752feb9821f519a84b0bcfa1ea7bd852c54af626e9e3637d1c4b084",
+    "kernels_quad":
+        "3969cf71352cba1fd7a6410369899d5af52419ddc44625f1f285f1b147c3f3fe",
 }
 
 README_CONFIG = ('{"hurst": 0.5, "step": 0.0125, "horizon": 1.0, '
@@ -108,26 +114,40 @@ def validate_digest(tmp_dir: str) -> str:
     return h.hexdigest()
 
 
-def kernels_digest() -> str:
-    """Exact per-path variances and exact-mode rough exponents on seeded
-    walks in d = 1 and d = 2, with a quadrature-oracle subset."""
-    parts = []
+def _kernel_walks():
+    """Seeded walks in d = 1 and d = 2 with their walk seed index."""
     for dim in (1, 2):
         cfg = WalkConfig(dim, 3.0, 1.0)
         for seed in range(4):
-            path = sample_walk(cfg, 100 * dim + seed)
-            for hv in (0.25, 0.5, 0.75):
-                h = HurstParameter(hv)
-                parts.append(repr(path_increment_variance(path, h)))
-                parts.append(repr(rough_functional_exact(path, h, seed)))
-                for eps in (0.125, 0.03125):
-                    parts.append(repr(prop41_variance(path, h, eps)))
-                    parts.append(repr(smooth_integral_variance(path, h, eps)))
-                if seed == 0:
-                    parts.append(repr(prop41_variance(path, h, 0.125,
-                                                      method="quad")))
-                    parts.append(repr(smooth_integral_variance(
-                        path, h, 0.125, method="quad")))
+            yield seed, sample_walk(cfg, 100 * dim + seed)
+
+
+def kernels_digest() -> str:
+    """Closed-form per-path variances and exact-mode rough exponents on
+    seeded walks in d = 1 and d = 2."""
+    parts = []
+    for seed, path in _kernel_walks():
+        for hv in (0.25, 0.5, 0.75):
+            h = HurstParameter(hv)
+            parts.append(repr(path_increment_variance(path, h)))
+            parts.append(repr(rough_functional_exact(path, h, seed)))
+            for eps in (0.125, 0.03125):
+                parts.append(repr(prop41_variance(path, h, eps)))
+                parts.append(repr(smooth_integral_variance(path, h, eps)))
+    return _sha("\n".join(parts).encode())
+
+
+def kernels_quad_digest() -> str:
+    """The quadrature-oracle subset of the same variances."""
+    parts = []
+    for seed, path in _kernel_walks():
+        if seed:
+            continue
+        for hv in (0.25, 0.5, 0.75):
+            h = HurstParameter(hv)
+            parts.append(repr(prop41_variance(path, h, 0.125, method="quad")))
+            parts.append(repr(smooth_integral_variance(path, h, 0.125,
+                                                       method="quad")))
     return _sha("\n".join(parts).encode())
 
 
@@ -151,3 +171,7 @@ def test_validate_golden(tmp_path):
 
 def test_kernels_golden():
     assert kernels_digest() == GOLDEN["kernels"]
+
+
+def test_kernels_quad_golden():
+    assert kernels_quad_digest() == GOLDEN["kernels_quad"]

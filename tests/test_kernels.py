@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pamfk.fbm import HurstParameter, TimeGrid, sample_grid_paths
-from pamfk.kernels import (InnerProductInput, SegmentKernelInput, eps_autocov,
-                           f_eps, h_eps, inner_gX_ge, inner_geX_ge,
-                           kernel_sweep_rows, path_increment_variance,
+from pamfk.kernels import (QUAD_TOL, InnerProductInput, SegmentKernelInput,
+                           eps_autocov, f_eps, h_eps, inner_gX_ge,
+                           inner_geX_ge, kernel_sweep_rows,
+                           path_increment_variance,
                            prop41_variance, rho, s2, s2_alternative_bound, s3,
                            smooth_integral_variance)
 from pamfk.quadrature import adaptive_simpson
@@ -295,6 +296,17 @@ class TestProp41Variance:
             closed = prop41_variance(p, h, 0.125)
             quad = prop41_variance(p, h, 0.125, method="quad")
             assert closed == pytest.approx(quad, abs=1e-6)
+
+    def test_quad_needs_minimum_depth(self):
+        # two same-site segments where the first-level Simpson estimates
+        # agreed by chance and quad was 1.86e-7 off the closed form
+        p = WalkPath(0.4230186687222366,
+                     (0.387746267632346, 0.4101802715544136),
+                     ((0,), (1,), (0,)))
+        h = HurstParameter(0.75)
+        closed = prop41_variance(p, h, 0.125)
+        quad = prop41_variance(p, h, 0.125, method="quad")
+        assert abs(closed - quad) <= QUAD_TOL
 
     def test_nonnegative(self):
         p = WalkPath(1.0, (0.2, 0.25, 0.8), ((0,), (1,), (2,), (1,)))

@@ -16,8 +16,6 @@ class TestBoxDomain:
         BoxDomain(1, 3)
         with pytest.raises(ValueError):
             BoxDomain(1, 0)
-        with pytest.raises(ValueError):
-            BoxDomain(1, 3, boundary="periodic")
 
     def test_offsets(self):
         d = BoxDomain(2, 1)
@@ -70,11 +68,6 @@ class TestSolverConfig:
         g = TimeGrid(0.05, 1.0, pad=0.1)
         with pytest.raises(ValueError):
             SolverConfig(0.03, 1.0, g, 0.1)
-
-    def test_scheme_enum(self):
-        g = TimeGrid(0.05, 1.0, pad=0.1)
-        with pytest.raises(ValueError):
-            SolverConfig(0.05, 1.0, g, 0.1, scheme="crank_nicolson")
 
 
 class TestZeroNoise:
