@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
                   ZeroField, covariance, increment_covariance,
-                  sample_at_times, sample_grid_path, sample_grid_paths)
+                  sample_at_times, sample_grid_paths)
 from .walk import (RoughStats, WalkConfig, WalkPath, reverse_view,
                    rough_stats, sample_walk)
 from .kernels import (InnerProductInput, KernelEval, SegmentKernelInput,
@@ -36,6 +36,6 @@ __all__ = [
     "h_eps", "increment_covariance", "inner_gX_ge", "inner_geX_ge",
     "path_increment_variance", "prop41_variance", "reverse_view", "rho",
     "richardson_check", "rough_functional_exact", "rough_stats", "s2", "s3",
-    "sample_at_times", "sample_grid_path", "sample_grid_paths", "sample_walk",
+    "sample_at_times", "sample_grid_paths", "sample_walk",
     "smooth_integral_variance", "solve_mollified", "write_report",
 ]

@@ -150,16 +150,19 @@ def _initial_condition(cfg: RunConfig) -> InitialCondition:
 def cmd_generate(cfg: RunConfig) -> int:
     hurst = _hurst(cfg)
     grid = _grid(cfg)
-    sites = [tuple(_as_int("sites", c) for c in s)
-             for s in cfg.get("sites") or [[0]]]
-    field = HurstField(hurst, grid, cfg.get("master_seed"))
+    raw = cfg.get("sites") or [[0]]
+    if not all(isinstance(s, list) and s for s in raw):
+        raise ConfigError("config key 'sites' must be a list of non-empty "
+                          "coordinate lists")
+    sites = [tuple(_as_int("sites", c) for c in s) for s in raw]
     dims = len(sites[0])
-    rows = []
-    for site in sites:
-        path = field.path_on_grid(site)
-        zi = grid.zero_index
-        for j in range(grid.count):
-            rows.append([*site, j * grid.step, float(path[zi + j])])
+    if any(len(site) != dims for site in sites):
+        raise ConfigError("config key 'sites' mixes site dimensions")
+    field = HurstField(hurst, grid, cfg.get("master_seed"))
+    zi = grid.zero_index
+    paths = field.paths_on_grid(sites)[:, zi:zi + grid.count]
+    rows = [[*site, j * grid.step, float(w)]
+            for site, path in zip(sites, paths) for j, w in enumerate(path)]
     write_csv(os.path.join(cfg.get("out"), "fbm_paths.csv"),
               [f"x{i}" for i in range(dims)] + ["t", "w"],
               rows, cfg.header_lines())

@@ -148,9 +148,9 @@ def _normals_to_spectral(z: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(z.shape[:-1] + (m,), dtype=complex)
     out[..., 0] = z[..., 0]
     out[..., n] = z[..., 1]
-    k = np.arange(1, n)
-    out[..., k] = (z[..., 2 * k] + 1j * z[..., 2 * k + 1]) / np.sqrt(2.0)
-    out[..., m - k] = np.conj(out[..., k])
+    # bin k in 1..n-1 takes z[2k] + i z[2k+1]; bin 2n-k is its conjugate
+    out[..., 1:n] = (z[..., 2:m:2] + 1j * z[..., 3:m:2]) / np.sqrt(2.0)
+    out[..., n + 1:] = np.conj(out[..., n - 1:0:-1])
     return out
 
 
@@ -175,24 +175,14 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
                 "tolerance; this indicates a numerics bug") from exc
 
 
-def sample_grid_path(h: HurstParameter, grid: TimeGrid, seed: int) -> np.ndarray:
-    """One fBm path over the full stored grid [-pad, horizon+pad].
-
-    W(0) = 0 exactly (index grid.zero_index); the two-sided extension is
-    obtained by re-centering a one-sided path at the pad offset, which is
-    exact by stationarity of fBm increments.  Deterministic given seed.
-    """
-    n = grid.total_points - 1
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(2 * n)
-    fgn = _fgn_from_normals(h, n, z) * grid.step ** h.h
-    path = np.concatenate([[0.0], np.cumsum(fgn)])
-    return path - path[grid.zero_index]
-
-
 def sample_grid_paths(h: HurstParameter, grid: TimeGrid,
                       seeds: Sequence[int]) -> np.ndarray:
-    """Batch of grid paths, one row per seed; rows match sample_grid_path."""
+    """fBm paths over the stored grid [-pad, horizon+pad], one per seed.
+
+    Each row depends on its own seed only.  W(0) = 0 exactly (column
+    grid.zero_index): a one-sided path re-centered at the pad offset is
+    two-sided, exactly, by stationarity of fBm increments.
+    """
     n = grid.total_points - 1
     z = np.empty((len(seeds), 2 * n))
     for i, seed in enumerate(seeds):
@@ -233,9 +223,10 @@ class HurstField:
 
     Each site's path comes from a seed stream derived deterministically
     from (master_seed, site), so the field does not depend on the order
-    in which sites are first touched.  Every path is drawn once and
-    cached, before and after freeze(); caching changes no value, and
-    paths_on_grid draws all missing sites of a known set in one batch.
+    in which sites are first touched.  paths_on_grid is the only read:
+    it returns the paths of a set of sites stacked row by row, drawing
+    all missing ones in one batch.  Every path is drawn once and cached,
+    before and after freeze(); caching changes no value.
     """
 
     def __init__(self, hurst: HurstParameter, grid: TimeGrid,
@@ -245,9 +236,6 @@ class HurstField:
         self.master_seed = master_seed
         self._paths: dict[Site, np.ndarray] = {}
         self._frozen = False
-
-    def path_on_grid(self, site: Site) -> np.ndarray:
-        return self.paths_on_grid([site])[0]
 
     def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
         """Paths of sites stacked row by row; missing ones drawn together."""
@@ -273,7 +261,7 @@ class HurstField:
         grid = self.grid
         if not (-grid.pad - 1e-12 <= t <= grid.horizon + grid.pad + 1e-12):
             raise ValueError(f"time {t} outside stored range")
-        path = self.path_on_grid(site)
+        path = self.paths_on_grid([site])[0]
         x = (t + grid.pad) / grid.step
         i = int(np.floor(x))
         i = min(max(i, 0), grid.total_points - 2)
@@ -286,9 +274,6 @@ class ZeroField:
 
     def __init__(self, grid: TimeGrid) -> None:
         self.grid = grid
-
-    def path_on_grid(self, site: Site) -> np.ndarray:
-        return np.zeros(self.grid.total_points)
 
     def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
         return np.zeros((len(sites), self.grid.total_points))
@@ -318,6 +303,8 @@ class EpsilonDerivative:
 
     def __post_init__(self) -> None:
         grid = self.field.grid
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
         if not _is_multiple(self.epsilon, grid.step):
             raise ValueError("epsilon must be an exact multiple of grid.step")
         shift = round(self.epsilon / grid.step)
@@ -333,11 +320,10 @@ class EpsilonDerivative:
         return (f.value(t + self.epsilon, site)
                 - f.value(t - self.epsilon, site)) / (2.0 * self.epsilon)
 
-    def grid_values(self, site: Site) -> np.ndarray:
-        """dW_eps at every grid time in [0, horizon] (vectorized)."""
+    def grid_values(self, paths: np.ndarray) -> np.ndarray:
+        """dW_eps at every grid time in [0, horizon] from grid paths of
+        shape (..., total_points), such as paths_on_grid rows."""
         grid = self.field.grid
-        path = self.field.path_on_grid(site)
-        zi, k = grid.zero_index, self._shift
-        n = grid.count
-        return (path[zi + k:zi + k + n] - path[zi - k:zi - k + n]) \
-            / (2.0 * self.epsilon)
+        zi, k, n = grid.zero_index, self._shift, grid.count
+        return (paths[..., zi + k:zi + k + n]
+                - paths[..., zi - k:zi - k + n]) / (2.0 * self.epsilon)

@@ -116,29 +116,21 @@ class GridFunctionalEvaluator:
 
     Jump times are snapped to the nearest grid point, which keeps both
     functionals on the same probability space.  A walk batch's exponents
-    are gathers from one per-site table: W on [0, horizon] for the rough
-    functional, the cumulative trapezoid of dW_eps for the smooth one.
+    are gathers from one table built from a single paths_on_grid read of
+    the batch's sites: W on [0, horizon] for the rough functional, the
+    cumulative trapezoid of dW_eps for the smooth one.
     """
 
     def __init__(self, field, epsilon: float | None = None) -> None:
         self.field = field
         self.grid: TimeGrid = field.grid
-        self._ed = EpsilonDerivative(field, epsilon) if epsilon else None
+        self._ed = (EpsilonDerivative(field, epsilon)
+                    if epsilon is not None else None)
         if epsilon is not None and epsilon < 4.0 * self.grid.step - 1e-12:
             raise ValueError(
                 f"grid too coarse for epsilon={epsilon}: need step <= eps/4, "
                 f"got step={self.grid.step}; refine the grid")
-        self._cum: dict[Site, np.ndarray] = {}
         self._zi = self.grid.zero_index
-
-    def _cum_dw(self, site: Site) -> np.ndarray:
-        cum = self._cum.get(site)
-        if cum is None:
-            dw = self._ed.grid_values(site)
-            cum = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (dw[:-1] + dw[1:]) * self.grid.step)])
-            self._cum[site] = cum
-        return cum
 
     def exponents(self, batch: WalkBatch, mode: str) -> np.ndarray:
         """Rough (W increment sum) or smooth (trapezoid integral of dW_eps)
@@ -147,12 +139,15 @@ class GridFunctionalEvaluator:
             raise ValueError("evaluator built without epsilon")
         if not len(batch):
             return np.zeros(0)
-        # one draw for every missing site; _cum_dw then reads the cache
         paths = self.field.paths_on_grid(batch.sites)
         if mode == "rough":
             table = paths[:, self._zi:self._zi + self.grid.count]
         else:
-            table = np.array([self._cum_dw(site) for site in batch.sites])
+            dw = self._ed.grid_values(paths)
+            table = np.concatenate(
+                [np.zeros((len(dw), 1)),
+                 np.cumsum(0.5 * (dw[:, :-1] + dw[:, 1:]) * self.grid.step,
+                           axis=1)], axis=1)
         return batch.gather(table)
 
     def rough(self, path: WalkPath) -> float:

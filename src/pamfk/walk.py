@@ -52,9 +52,9 @@ class WalkPath:
         n = len(self.jump_times)
         if len(self.sites) != n + 1:
             raise ValueError("need exactly one more site than jump times")
-        times = np.asarray(self.jump_times)
-        if n and (np.any(np.diff(times) <= 0) or times[0] <= 0
-                  or times[-1] >= self.horizon):
+        t = self.jump_times
+        if n and (any(b <= a for a, b in zip(t, t[1:])) or t[0] <= 0
+                  or t[-1] >= self.horizon):
             raise ValueError("jump times must be strictly increasing "
                              "inside (0, horizon)")
         for a, b in zip(self.sites[:-1], self.sites[1:]):

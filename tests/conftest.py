@@ -7,16 +7,11 @@ import pamfk.fbm
 def fbm_draws(monkeypatch):
     """Seeds of every grid path drawn through pamfk.fbm, in draw order."""
     seeds = []
-    one, many = pamfk.fbm.sample_grid_path, pamfk.fbm.sample_grid_paths
-
-    def counted_one(h, grid, seed):
-        seeds.append(seed)
-        return one(h, grid, seed)
+    many = pamfk.fbm.sample_grid_paths
 
     def counted_many(h, grid, batch):
         seeds.extend(batch)
         return many(h, grid, batch)
 
-    monkeypatch.setattr(pamfk.fbm, "sample_grid_path", counted_one)
     monkeypatch.setattr(pamfk.fbm, "sample_grid_paths", counted_many)
     return seeds

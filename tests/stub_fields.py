@@ -17,11 +17,10 @@ class LinearField:
         self.slopes = dict(slopes)
         self.default = default
 
-    def path_on_grid(self, site: Site) -> np.ndarray:
-        return self.slopes.get(tuple(site), self.default) * self.grid.times
-
     def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
-        return np.array([self.path_on_grid(site) for site in sites])
+        slopes = [self.slopes.get(tuple(site), self.default)
+                  for site in sites]
+        return np.multiply.outer(slopes, self.grid.times)
 
     def value(self, t: float, site: Site) -> float:
         return self.slopes.get(tuple(site), self.default) * t

@@ -55,6 +55,16 @@ class TestGenerate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "H must be in (0,1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sites", [[0], [[0], [0, 1]], [[]]],
+                             ids=["flat", "ragged", "empty_site"])
+    def test_malformed_sites_exit_2(self, tmp_path, capsys, sites):
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           sites=sites)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+        assert "sites" in capsys.readouterr().err
+        assert not (out / "fbm_paths.csv").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
                            sites=[[0]], master_seed=1)

@@ -9,7 +9,7 @@ from pamfk._seeds import site_seed
 from pamfk.fbm import (EpsilonDerivative, ExactModeCapError, HurstField,
                        HurstParameter, TimeGrid, ZeroField, covariance,
                        fgn_autocovariance, increment_covariance,
-                       sample_at_times, sample_grid_path, sample_grid_paths)
+                       sample_at_times, sample_grid_paths)
 from stub_fields import LinearField
 
 hursts = st.floats(min_value=0.05, max_value=0.95)
@@ -108,24 +108,40 @@ class TestTimeGrid:
 class TestGridSampler:
     def test_zero_at_time_zero(self):
         g = TimeGrid(0.1, 1.0, pad=0.2)
-        p = sample_grid_path(HurstParameter(0.7), g, 3)
+        p = sample_grid_paths(HurstParameter(0.7), g, [3])[0]
         assert p[g.zero_index] == 0.0
 
     def test_deterministic(self):
         g = TimeGrid(0.1, 1.0)
-        a = sample_grid_path(HurstParameter(0.3), g, 11)
-        b = sample_grid_path(HurstParameter(0.3), g, 11)
+        a = sample_grid_paths(HurstParameter(0.3), g, [11])[0]
+        b = sample_grid_paths(HurstParameter(0.3), g, [11])[0]
         assert np.array_equal(a, b)
-        c = sample_grid_path(HurstParameter(0.3), g, 12)
+        c = sample_grid_paths(HurstParameter(0.3), g, [12])[0]
         assert not np.array_equal(a, c)
 
     def test_batch_matches_scalar(self):
+        # a row depends on its own seed only, not on the rest of the batch
         g = TimeGrid(0.05, 1.0, pad=0.1)
         for hv in (0.25, 0.5, 0.75):
             h = HurstParameter(hv)
             batch = sample_grid_paths(h, g, [5, 6, 7])
             for row, seed in zip(batch, (5, 6, 7)):
-                assert np.array_equal(row, sample_grid_path(h, g, seed))
+                assert np.array_equal(row, sample_grid_paths(h, g, [seed])[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 160])
+    def test_spectral_map_matches_per_bin_loop(self, n):
+        z = np.random.default_rng(n).standard_normal((3, 2 * n))
+        expect = np.zeros((3, 2 * n), dtype=complex)
+        for r in range(3):
+            expect[r, 0] = z[r, 0]
+            expect[r, n] = z[r, 1]
+            for k in range(1, n):
+                expect[r, k] = (z[r, 2 * k] + 1j * z[r, 2 * k + 1]) \
+                    / np.sqrt(2.0)
+                expect[r, 2 * n - k] = np.conj(expect[r, k])
+        assert np.array_equal(pamfk.fbm._normals_to_spectral(z, n), expect)
+        assert np.array_equal(pamfk.fbm._normals_to_spectral(z[0], n),
+                              expect[0])
 
     def test_brownian_terminal_variance(self):
         # Var W(1) = 1 for any step size; 4096 seeds, 3-sigma band
@@ -221,47 +237,48 @@ class TestHurstField:
         h = HurstParameter(0.4)
         f1 = HurstField(h, g, 9)
         f2 = HurstField(h, g, 9)
-        a = f1.path_on_grid((3,))
-        f2.path_on_grid((-1,))
-        f2.path_on_grid((0,))
-        assert np.array_equal(f2.path_on_grid((3,)), a)
+        a = f1.paths_on_grid([(3,)])[0]
+        f2.paths_on_grid([(-1,)])
+        f2.paths_on_grid([(0,)])
+        assert np.array_equal(f2.paths_on_grid([(3,)])[0], a)
 
     def test_distinct_sites_distinct_paths(self):
         g = TimeGrid(0.1, 1.0)
         f = HurstField(HurstParameter(0.4), g, 9)
-        assert not np.array_equal(f.path_on_grid((0,)), f.path_on_grid((1,)))
+        rows = f.paths_on_grid([(0,), (1,)])
+        assert not np.array_equal(rows[0], rows[1])
 
     def test_freeze_semantics(self, fbm_draws):
         g = TimeGrid(0.1, 1.0)
         f = HurstField(HurstParameter(0.4), g, 9)
-        pre = f.path_on_grid((0,))
+        pre = f.paths_on_grid([(0,)])[0]
         f.freeze()
         assert f.frozen
         # reads still work and stay consistent after freezing
-        assert np.array_equal(f.path_on_grid((0,)), pre)
-        fresh = f.path_on_grid((5,))
+        assert np.array_equal(f.paths_on_grid([(0,)])[0], pre)
+        fresh = f.paths_on_grid([(5,)])[0]
         assert len(fbm_draws) == 2
         # a second read of a frozen field draws nothing
-        assert np.array_equal(f.path_on_grid((5,)), fresh)
+        assert np.array_equal(f.paths_on_grid([(5,)])[0], fresh)
         assert len(fbm_draws) == 2
 
     def test_batch_read_draws_missing_sites_once(self, fbm_draws):
         g = TimeGrid(0.05, 1.0, pad=0.1)
         h = HurstParameter(0.3)
         f = HurstField(h, g, 4).freeze()
-        one = f.path_on_grid((2,))
+        one = f.paths_on_grid([(2,)])[0]
         rows = f.paths_on_grid([(0,), (2,), (-1,), (0,)])
         assert len(fbm_draws) == 3  # (2,) once, then (0,) and (-1,) together
         assert np.array_equal(rows[1], one)
         assert np.array_equal(rows[0], rows[3])
         for row, site in zip(rows, [(0,), (2,), (-1,), (0,)]):
-            assert np.array_equal(row, sample_grid_path(h, g,
-                                                        site_seed(4, site)))
+            assert np.array_equal(
+                row, sample_grid_paths(h, g, [site_seed(4, site)])[0])
 
     def test_value_interpolates(self):
         g = TimeGrid(0.1, 1.0, pad=0.2)
         f = HurstField(HurstParameter(0.6), g, 1)
-        p = f.path_on_grid((0,))
+        p = f.paths_on_grid([(0,)])[0]
         assert f.value(0.3, (0,)) == pytest.approx(p[g.index_of(0.3)])
         mid = 0.5 * (p[g.index_of(0.3)] + p[g.index_of(0.4)])
         assert f.value(0.35, (0,)) == pytest.approx(mid)
@@ -274,19 +291,20 @@ class TestEpsilonDerivative:
         g = TimeGrid(0.05, 1.0, pad=0.1)
         ed = EpsilonDerivative(ZeroField(g), 0.1)
         assert ed.at(0.5, (0,)) == 0.0
-        assert np.all(ed.grid_values((0,)) == 0.0)
+        assert np.all(ed.grid_values(ed.field.paths_on_grid([(0,)])) == 0.0)
 
     def test_linear_field_slope(self):
         g = TimeGrid(0.05, 1.0, pad=0.1)
         ed = EpsilonDerivative(LinearField(g, {(0,): 2.5}), 0.1)
         assert ed.at(0.4, (0,)) == pytest.approx(2.5)
-        assert np.allclose(ed.grid_values((0,)), 2.5)
+        assert np.allclose(ed.grid_values(ed.field.paths_on_grid([(0,)])),
+                           2.5)
 
     def test_equals_centered_difference(self):
         g = TimeGrid(0.05, 1.0, pad=0.05)
         f = HurstField(HurstParameter(0.7), g, 2)
         ed = EpsilonDerivative(f, g.step)
-        p = f.path_on_grid((0,))
+        p = f.paths_on_grid([(0,)])[0]
         i = g.index_of(0.5)
         expect = (p[i + 1] - p[i - 1]) / (2 * g.step)
         assert ed.at(0.5, (0,)) == pytest.approx(expect, rel=1e-12)
@@ -298,8 +316,9 @@ class TestEpsilonDerivative:
             EpsilonDerivative(f, 0.07)  # not a grid multiple
         with pytest.raises(ValueError):
             EpsilonDerivative(f, 0.2)  # exceeds pad
-        with pytest.raises(ValueError):
-            EpsilonDerivative(f, 0.0)
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                EpsilonDerivative(f, bad)
 
     def test_variance_matches_closed_form(self):
         # Var dW_eps(t) = (2 eps)^{2H} / (4 eps^2)

@@ -37,7 +37,7 @@ class TestFunctionals:
         g = TimeGrid(0.05, 1.0)
         f = HurstField(HurstParameter(0.6), g, 4)
         p = WalkPath(1.0, (), ((2,),))
-        w = f.path_on_grid((2,))
+        w = f.paths_on_grid([(2,)])[0]
         assert GridFunctionalEvaluator(f).rough(p) == pytest.approx(
             w[g.zero_index + g.count - 1])
 
@@ -48,7 +48,7 @@ class TestFunctionals:
         p = WalkPath(1.0, (0.25, 0.6), ((0,), (1,), (0,)))
         direct = 0.0
         for lo, hi, site in p.segments():
-            w = f.path_on_grid(site)
+            w = f.paths_on_grid([site])[0]
             zi = g.zero_index
             direct += (w[zi + round((1.0 - lo) / g.step)]
                        - w[zi + round((1.0 - hi) / g.step)])
@@ -73,6 +73,29 @@ class TestFunctionals:
         f = ZeroField(g)
         with pytest.raises(ValueError, match="refine"):
             GridFunctionalEvaluator(f, 0.1)  # step > eps/4
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_non_positive_epsilon(self, epsilon):
+        g = TimeGrid(0.025, 1.0, pad=0.1)
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            GridFunctionalEvaluator(ZeroField(g), epsilon)
+
+    def test_smooth_batch_reads_field_once(self, monkeypatch):
+        g = TimeGrid(0.025, 1.0, pad=0.1)
+        f = HurstField(HurstParameter(0.4), g, 3).freeze()
+        reads = []
+        read = f.paths_on_grid
+
+        def counted(sites):
+            reads.append(list(sites))
+            return read(sites)
+
+        monkeypatch.setattr(f, "paths_on_grid", counted)
+        batch = WalkBatch([WalkPath(1.0, (0.25, 0.5), ((0,), (1,), (2,))),
+                           WalkPath(1.0, (0.5,), ((0,), (-1,)))], g)
+        GridFunctionalEvaluator(f, 0.1).exponents(batch, "smooth")
+        assert reads == [batch.sites]
+        assert len(batch.sites) == 4
 
     def test_smooth_without_epsilon_rejected(self):
         g = TimeGrid(0.05, 1.0)
@@ -176,12 +199,12 @@ def scalar_exponent(field, path, epsilon=None):
     zi = grid.zero_index
     if epsilon is None:
         def table(site):
-            return field.path_on_grid(site)[zi:zi + grid.count]
+            return field.paths_on_grid([site])[0][zi:zi + grid.count]
     else:
         ed = EpsilonDerivative(field, epsilon)
 
         def table(site):
-            dw = ed.grid_values(site)
+            dw = ed.grid_values(field.paths_on_grid([site])[0])
             return np.concatenate(
                 [[0.0], np.cumsum(0.5 * (dw[:-1] + dw[1:]) * grid.step)])
 

@@ -32,6 +32,14 @@ def test_path_validation():
         WalkPath(1.0, (1.5,), ((0,), (1,)))  # beyond horizon
     with pytest.raises(ValueError):
         WalkPath(1.0, (0.5,), ((0,), (2,)))  # not a neighbor step
+    with pytest.raises(ValueError, match="strictly increasing"):
+        WalkPath(1.0, (0.5, 0.5), ((0,), (1,), (0,)))  # tied times
+    with pytest.raises(ValueError, match="strictly increasing"):
+        WalkPath(1.0, (0.0,), ((0,), (1,)))  # jump at time 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        WalkPath(1.0, (1.0,), ((0,), (1,)))  # jump at the horizon
+    with pytest.raises(ValueError, match="lattice neighbors"):
+        WalkPath(1.0, (0.5,), ((0, 0), (1, 1)))  # 2-D diagonal step
 
 
 def test_segments_cover_horizon():
