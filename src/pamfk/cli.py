@@ -82,6 +82,8 @@ class RunConfig:
                     f"config key {key!r} must be {want.__name__}")
             if key == "epsilon" and value <= 0:
                 raise ConfigError("config key 'epsilon' must be > 0")
+            if key in ("n_walks", "n_inner", "workers") and value < 1:
+                raise ConfigError(f"config key {key!r} must be >= 1")
             data[key] = value
         self.data = {**_DEFAULTS, **data}
 

@@ -18,7 +18,9 @@ import numpy as np
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid
 from .fk import (GridFunctionalEvaluator, InitialCondition, WalkBatch,
-                 estimate_quenched, sample_walk_snapped)
+                 estimate_quenched, sample_walk_batch)
+# Not called here; kept because perfbench patches and deletes this binding.
+from .fk import sample_walk_snapped  # noqa: F401
 from .kernels import kernel_sweep_rows, prop41_variance
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
@@ -47,6 +49,8 @@ class SweepSpec:
             raise ValueError("epsilon list must be strictly decreasing")
         if self.n_samples < 100:
             raise ValueError("n_samples must be >= 100")
+        if self.n_inner < 1:
+            raise ValueError("n_inner must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,9 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
         sq = np.zeros((len(spec.epsilons), spec.n_samples))
         for k in range(spec.n_samples):
             fld = HurstField(h, grid, mix64(spec.master_seed, 11, k)).freeze()
-            walks = WalkBatch([sample_walk_snapped(
-                cfg, grid, mix64(spec.master_seed, 13, k, j))
-                for j in range(spec.n_inner)], grid)
+            walks = sample_walk_batch(
+                cfg, grid, [mix64(spec.master_seed, 13, k, j)
+                            for j in range(spec.n_inner)])
             rough_w = _weights(GridFunctionalEvaluator(fld), walks, "rough")
             for e_i, eps in enumerate(spec.epsilons):
                 smooth_w = _weights(GridFunctionalEvaluator(fld, eps), walks,

@@ -20,7 +20,8 @@ from ._seeds import mix64, site_seed
 from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
                   ZeroField, sample_at_times)
 from .kernels import path_increment_variance
-from .walk import Site, WalkConfig, WalkPath, reverse_view, sample_walk
+from .walk import (Site, WalkConfig, WalkPath, reverse_view, sample_walk,
+                   walk_draws)
 
 EXP_CLAMP = 700.0
 
@@ -71,32 +72,70 @@ class WalkBatch:
     lo[i, c] and hi[i, c], counted from the time-0 point: each reversed
     jump time t becomes round(t / step), clamped to [0, count - 1].  Rows
     are padded to the longest walk with lo = hi = 0 at row 0, so padding
-    adds exactly +0.0.
+    adds exactly +0.0.  Site rows are numbered in first-seen order over
+    the reversed walks; terminal[i] is walk i's site at the horizon.
+
+    WalkBatch(paths, grid) flattens WalkPaths; the FK estimators build
+    their batches straight from arrays with sample_walk_batch.
     """
 
     def __init__(self, paths: Sequence[WalkPath], grid: TimeGrid) -> None:
-        self.paths = list(paths)
-        counts = np.array([p.jump_count for p in self.paths], dtype=np.intp)
+        paths = list(paths)
+        dim = len(paths[0].sites[0]) if paths else 1
+        self._lay_out(
+            np.array([p.jump_count for p in paths], dtype=np.intp),
+            np.array([t for p in paths for t in p.jump_times], dtype=float),
+            np.array([s for p in paths for s in p.sites],
+                     dtype=np.intp).reshape(-1, dim),
+            np.array([p.horizon for p in paths], dtype=float), grid)
+
+    @classmethod
+    def _from_arrays(cls, counts, times, sites, horizons,
+                     grid: TimeGrid) -> "WalkBatch":
+        batch = cls.__new__(cls)
+        batch._lay_out(counts, times, sites, horizons, grid)
+        return batch
+
+    def _lay_out(self, counts: np.ndarray, times: np.ndarray,
+                 sites: np.ndarray, horizons: np.ndarray,
+                 grid: TimeGrid) -> None:
+        """Fill lo/hi/row/sites/terminal from flat per-walk arrays.
+
+        Walk i has counts[i] forward jump times (ascending) in times and
+        counts[i] + 1 forward sites, one (dim,) row per segment, in sites.
+        """
         width = int(counts.max(initial=0)) + 1
         cols = np.arange(width + 1)
+        jump_end = np.cumsum(counts)
+        seg_end = jump_end + np.arange(1, len(counts) + 1)
+        # flat index j of walk i read backwards: first_i + last_i - j
+        rev_jump = (np.repeat(2 * jump_end - counts - 1, counts)
+                    - np.arange(len(times)))
+        rev_seg = (np.repeat(2 * seg_end - counts - 2, counts + 1)
+                   - np.arange(len(sites)))
         # reversed time bounds 0 = b_0 < b_1 < ... < b_{N+1} = horizon
         bounds = np.zeros((len(counts), width + 1))
-        bounds[(cols >= 1) & (cols <= counts[:, None])] = [
-            p.horizon - t for p in self.paths for t in reversed(p.jump_times)]
-        bounds[cols == counts[:, None] + 1] = [p.horizon for p in self.paths]
+        bounds[(cols >= 1) & (cols <= counts[:, None])] = (
+            np.repeat(horizons, counts) - times[rev_jump])
+        bounds[cols == counts[:, None] + 1] = horizons
         idx = np.clip(np.rint(bounds / grid.step), 0, grid.count - 1)
         idx = idx.astype(np.intp)
         live = cols[:-1] <= counts[:, None]
         self.lo = np.where(live, idx[:, :-1], 0)
         self.hi = np.where(live, idx[:, 1:], 0)
-        rows: dict[Site, int] = {}
+        uniq, first, inverse = np.unique(sites[rev_seg], axis=0,
+                                         return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
         self.row = np.zeros((len(counts), width), dtype=np.intp)
-        self.row[live] = [rows.setdefault(site, len(rows))
-                          for p in self.paths for site in reversed(p.sites)]
-        self.sites = list(rows)
+        self.row[live] = rank[inverse.reshape(-1)]
+        self.sites = [tuple(site) for site in uniq[order].tolist()]
+        self.terminal = sites[seg_end - 1]
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.lo)
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """Per-walk sum of table[site, hi] - table[site, lo] over segments.
@@ -178,10 +217,12 @@ def rough_functional_exact(path: WalkPath, hurst: HurstParameter,
 
 
 def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
-    """Walk whose jump times are distinct after snapping to the grid.
+    """One walk whose jump times are distinct after snapping to the grid.
 
-    Colliding jumps are resampled with a derived seed; the collision
-    probability vanishes for fine grids.
+    The one-walk reference for sample_walk_batch, which must reproduce it
+    bit for bit.  A walk with two jumps on one grid index, or a jump on
+    the first or last grid point, is redrawn with seed mix64(seed,
+    attempt); the collision probability vanishes for fine grids.
     """
     for attempt in range(64):
         path = sample_walk(cfg, seed if attempt == 0 else mix64(seed, attempt))
@@ -194,13 +235,66 @@ def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
         "could not sample a collision-free walk; grid too coarse")
 
 
+def _sorted_jumps(draws: list, horizon: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jump counts, walk ids and per-walk ascending jump times of draws."""
+    counts = np.array([len(u) for u, _, _ in draws], dtype=np.intp)
+    u = np.concatenate([np.zeros(0)] + [u for u, _, _ in draws])
+    walk = np.repeat(np.arange(len(draws)), counts)
+    return counts, walk, u[np.lexsort((u, walk))] * horizon
+
+
+def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid,
+                      seeds: Sequence[int]) -> WalkBatch:
+    """The walks sample_walk_snapped draws for seeds, as one WalkBatch.
+
+    Each walk makes the draws of walk_draws, and a walk whose snapped
+    jump indices collide or touch the ends of the grid is redrawn by the
+    same rule, so every array equals WalkBatch([sample_walk_snapped(cfg,
+    grid, s) for s in seeds], grid).  Sorting, snapping, the site walk
+    and the time reversal run over the whole batch at once.
+    """
+    seeds = list(seeds)
+    draws = [walk_draws(cfg, seed) for seed in seeds]
+    redraw = list(range(len(seeds)))
+    for attempt in range(1, 65):
+        _, walk, times = _sorted_jumps([draws[i] for i in redraw],
+                                       cfg.horizon)
+        k = np.rint(times / grid.step)
+        bad = (k <= 0) | (k >= grid.count - 1)
+        bad[1:] |= (k[1:] == k[:-1]) & (walk[1:] == walk[:-1])
+        redraw = sorted({redraw[j] for j in walk[bad].tolist()})
+        if not redraw:
+            break
+        if attempt == 64:
+            raise WalkSnapError(
+                "could not sample a collision-free walk; grid too coarse")
+        for i in redraw:
+            draws[i] = walk_draws(cfg, mix64(seeds[i], attempt))
+    counts, walk, times = _sorted_jumps(draws, cfg.horizon)
+    snapped = np.rint(times / grid.step) * grid.step
+    # forward sites: start, then start plus the running sum of the steps,
+    # with segment rows first_i + 1 + m for jump m of walk i
+    steps = np.zeros((len(times) + len(seeds), cfg.dim), dtype=np.intp)
+    none = np.zeros(0, dtype=np.intp)
+    axes = np.concatenate([none] + [a for _, a, _ in draws])
+    bits = np.concatenate([none] + [b for _, _, b in draws])
+    steps[np.arange(len(times)) + walk + 1, axes] = bits * 2 - 1
+    position = np.cumsum(steps, axis=0)
+    first = np.cumsum(counts + 1) - counts - 1
+    sites = (position - np.repeat(position[first], counts + 1, axis=0)
+             + np.array(cfg.start, dtype=np.intp))
+    return WalkBatch._from_arrays(counts, snapped, sites,
+                                  np.full(len(seeds), cfg.horizon), grid)
+
+
 def _clamped_exp(x: float) -> tuple[float, int]:
     if abs(x) > EXP_CLAMP:
         return math.exp(math.copysign(EXP_CLAMP, x)), 1
     return math.exp(x), 0
 
 
-# Walks per WalkBatch inside a block.  It caps the walk objects alive at
+# Walks per WalkBatch inside a block.  It caps the walk arrays alive at
 # once; every exponent is independent of it.
 _BATCH_WALKS = 512
 
@@ -212,14 +306,14 @@ def _weights_block(args) -> tuple[int, np.ndarray, int]:
     clamps = 0
     for start in range(lo, hi, _BATCH_WALKS):
         stop = min(start + _BATCH_WALKS, hi)
-        batch = WalkBatch([sample_walk_snapped(cfg, field.grid, seed + i)
-                           for i in range(start, stop)], field.grid)
+        batch = sample_walk_batch(cfg, field.grid,
+                                  range(seed + start, seed + stop))
         exponents = evaluator.exponents(batch, mode).tolist()
-        for i, (x, path) in enumerate(zip(exponents, batch.paths),
+        for i, (x, site) in enumerate(zip(exponents, batch.terminal.tolist()),
                                       start - lo):
             w, c = _clamped_exp(x)
             clamps += c
-            out[i] = ic(path.terminal_site()) * w
+            out[i] = ic(site) * w
     return lo, out, clamps
 
 
@@ -239,6 +333,8 @@ def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
         raise ValueError("smooth mode needs epsilon")
     if not field.frozen:
         raise ValueError("field must be frozen before estimation")
+    if n_walks < 1:
+        raise ValueError("n_walks must be >= 1")
     eps = epsilon if mode == "smooth" else None
     n_blocks = max(workers, 1)
     bounds = np.linspace(0, n_walks, n_blocks + 1).astype(int)

@@ -95,13 +95,26 @@ class RoughStats:
             raise ValueError("K <= R violated")
 
 
-def sample_walk(cfg: WalkConfig, seed: int) -> WalkPath:
-    """One rate-kappa walk on [0, horizon]; deterministic given seed."""
+def walk_draws(cfg: WalkConfig, seed: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random numbers of one walk, the single definition of its law.
+
+    A Poisson(kappa * horizon) jump count n, then n uniforms on [0, 1)
+    (unsorted; sorted and scaled by horizon they are the jump times),
+    n jump axes in [0, dim) and n sign bits (0 for -1, 1 for +1), drawn
+    in that order from default_rng(seed).
+    """
     rng = np.random.default_rng(seed)
     n = rng.poisson(cfg.kappa * cfg.horizon)
-    times = np.sort(rng.random(n)) * cfg.horizon
-    axes = rng.integers(0, cfg.dim, size=n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
+    return (rng.random(n), rng.integers(0, cfg.dim, size=n),
+            rng.integers(0, 2, size=n))
+
+
+def sample_walk(cfg: WalkConfig, seed: int) -> WalkPath:
+    """One rate-kappa walk on [0, horizon]; deterministic given seed."""
+    u, axes, bits = walk_draws(cfg, seed)
+    times = np.sort(u) * cfg.horizon
+    signs = bits * 2 - 1
     sites = [cfg.start]
     pos = list(cfg.start)
     for axis, sign in zip(axes, signs):

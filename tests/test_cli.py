@@ -8,10 +8,9 @@ import pytest
 
 import pamfk.cli
 import pamfk.fbm
-import pamfk.fk
 from pamfk.cli import RunConfig, main
 from pamfk.experiments import EXPERIMENTS
-from pamfk.fk import ClampError, WalkSnapError
+from pamfk.fk import ClampError
 from pamfk.quadrature import QuadratureError
 from test_golden import VALIDATE_CONFIG
 
@@ -141,6 +140,23 @@ class TestConfigValidation:
         assert main(["experiment", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_walks", 0), ("n_walks", -5), ("n_inner", 0), ("workers", 0),
+        ("workers", -2)])
+    def test_count_below_one(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           **{"n_walks": 10, key: value})
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config key {key!r} must be >= 1" in capsys.readouterr().err
+
+    def test_workers_flag_below_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           n_walks=10)
+        assert main(["solve", "--config", cfg, "--workers", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'workers'" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -285,12 +301,10 @@ class TestNumericalFailures:
                              "--out", str(tmp_path / "o")], capsys,
                             "failed to converge")
 
-    def test_walk_snap_error(self, tmp_path, capsys, monkeypatch):
-        def no_walk(cfg, grid, seed):
-            raise WalkSnapError("could not sample a collision-free walk")
-        monkeypatch.setattr(pamfk.fk, "sample_walk_snapped", no_walk)
-        cfg = write_config(tmp_path, hurst=0.5, step=0.05, horizon=1.0,
-                           n_walks=10)
+    def test_walk_snap_error(self, tmp_path, capsys):
+        # one interior grid point cannot hold the ~50 jumps of a rate-50 walk
+        cfg = write_config(tmp_path, hurst=0.5, step=0.5, horizon=1.0,
+                           kappa=50.0, n_walks=10, mode="rough")
         self._assert_exit_1(["solve", "--config", cfg,
                              "--out", str(tmp_path / "o")], capsys,
                             "collision-free")

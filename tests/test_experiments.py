@@ -20,6 +20,12 @@ def test_sweep_spec_validation():
         SweepSpec(n_samples=50)
 
 
+@pytest.mark.parametrize("n_inner", [0, -1])
+def test_sweep_spec_rejects_n_inner_below_one(n_inner):
+    with pytest.raises(ValueError, match="n_inner must be >= 1"):
+        SweepSpec(n_inner=n_inner)
+
+
 def test_rate_fit_validation():
     with pytest.raises(ValueError):
         RateFit(1.0, 0.0, 1.0, ((0.0, 0.0),) * 3)  # too few points

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from pamfk._seeds import mix64
 from pamfk.fbm import (EpsilonDerivative, HurstField, HurstParameter,
                        TimeGrid, ZeroField, sample_grid_paths)
+import pamfk.fk
+from pamfk.experiments import SweepSpec, run_ueps_convergence
 from pamfk.fk import (ClampError, GridFunctionalEvaluator, InitialCondition,
                       WalkBatch, WalkSnapError, annealed_mean_rough_oracle,
                       estimate_annealed_moment, estimate_quenched,
-                      rough_functional_exact, sample_walk_snapped)
+                      rough_functional_exact, sample_walk_batch,
+                      sample_walk_snapped)
 from pamfk.kernels import path_increment_variance, prop41_variance
 from pamfk.walk import WalkConfig, WalkPath, reverse_view, sample_walk
 from stub_fields import LinearField
@@ -301,6 +304,98 @@ class TestSnappedWalks:
         assert issubclass(WalkSnapError, RuntimeError)
 
 
+class TestWalkBatchSampler:
+    """sample_walk_batch against its one-walk reference, array for array."""
+
+    CASES = {
+        "d1_readme": (WalkConfig(1, 1.0, 1.0), TimeGrid(0.0125, 1.0, 0.1)),
+        "d2_start": (WalkConfig(2, 1.0, 1.0, (1, -2)),
+                     TimeGrid(0.0125, 1.0, 0.1)),
+        "redraws": (WalkConfig(1, 6.0, 1.0), TimeGrid(0.025, 1.0)),
+    }
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("lo", "hi", "row", "terminal"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.sites == want.sites
+        assert all(type(c) is int for site in got.sites for c in site)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_one_walk_reference(self, case):
+        cfg, grid = self.CASES[case]
+        seeds = [mix64(21, i) for i in range(1000)]
+        paths = [sample_walk_snapped(cfg, grid, s) for s in seeds]
+        self.assert_same(sample_walk_batch(cfg, grid, seeds),
+                         WalkBatch(paths, grid))
+        assert any(p.jump_count == 0 for p in paths)
+        if cfg.start != (0,) * cfg.dim:
+            assert all(p.sites[0] == cfg.start for p in paths)
+
+    def test_redraws_only_rejected_walks(self, monkeypatch):
+        cfg, grid = self.CASES["redraws"]
+        seeds = list(range(300))
+        draws = []
+        draw = pamfk.fk.walk_draws
+
+        def counted(cfg, seed):
+            draws.append(seed)
+            return draw(cfg, seed)
+
+        monkeypatch.setattr(pamfk.fk, "walk_draws", counted)
+        batch = sample_walk_batch(cfg, grid, seeds)
+        assert draws[:len(seeds)] == seeds
+        assert len(draws) > len(seeds)  # at least one first draw rejected
+        monkeypatch.undo()
+        self.assert_same(batch, WalkBatch(
+            [sample_walk_snapped(cfg, grid, s) for s in seeds], grid))
+
+    def test_empty_seed_list(self):
+        cfg, grid = self.CASES["d2_start"]
+        batch = sample_walk_batch(cfg, grid, [])
+        assert len(batch) == 0 and batch.sites == []
+        assert batch.lo.shape == batch.hi.shape == batch.row.shape == (0, 1)
+        assert batch.terminal.shape == (0, 2)
+        field = HurstField(HurstParameter(0.5), grid, 1).freeze()
+        assert GridFunctionalEvaluator(field).exponents(
+            batch, "rough").shape == (0,)
+
+    def test_too_coarse_grid_raises_named_error(self):
+        g = TimeGrid(0.5, 1.0)
+        with pytest.raises(WalkSnapError, match="grid too coarse"):
+            sample_walk_batch(WalkConfig(1, 50.0, 1.0), g, [0, 1])
+
+
+class TestNoWalkPathInHotLoops:
+    @pytest.fixture
+    def walk_paths(self, monkeypatch):
+        made = []
+        init = WalkPath.__post_init__
+
+        def counted(self):
+            made.append(self)
+            init(self)
+
+        monkeypatch.setattr(WalkPath, "__post_init__", counted)
+        return made
+
+    @pytest.mark.parametrize("mode", ["rough", "smooth"])
+    def test_estimate_quenched(self, walk_paths, mode):
+        g = TimeGrid(0.0125, 1.0, pad=0.1)
+        f = HurstField(HurstParameter(0.5), g, 2).freeze()
+        estimate_quenched(WalkConfig(1, 1.0, 1.0),
+                          InitialCondition.constant(), f, mode=mode,
+                          epsilon=0.1, n_walks=50, seed=3)
+        assert walk_paths == []
+
+    def test_ueps_convergence(self, walk_paths):
+        run_ueps_convergence(SweepSpec(
+            hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
+            n_samples=100, n_inner=2, master_seed=1))
+        assert walk_paths == []
+
+
 class TestQuenchedEstimator:
     def test_zero_noise_constant_ic(self):
         g = TimeGrid(0.05, 1.0)
@@ -317,6 +412,14 @@ class TestQuenchedEstimator:
         with pytest.raises(ValueError, match="frozen"):
             estimate_quenched(WalkConfig(1, 1.0, 1.0),
                               InitialCondition.constant(), f)
+
+    @pytest.mark.parametrize("n_walks", [0, -5])
+    def test_n_walks_below_one(self, n_walks):
+        with pytest.raises(ValueError, match="n_walks must be >= 1"):
+            estimate_quenched(WalkConfig(1, 1.0, 1.0),
+                              InitialCondition.constant(),
+                              ZeroField(TimeGrid(0.05, 1.0)),
+                              n_walks=n_walks)
 
     def test_mode_validation(self):
         g = TimeGrid(0.05, 1.0)
