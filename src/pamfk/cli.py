@@ -80,9 +80,12 @@ class RunConfig:
             elif not isinstance(value, want):
                 raise ConfigError(
                     f"config key {key!r} must be {want.__name__}")
-            if key == "epsilon" and value <= 0:
-                raise ConfigError("config key 'epsilon' must be > 0")
-            if key in ("n_walks", "n_inner", "workers") and value < 1:
+            if want is list and not value:
+                raise ConfigError(f"config key {key!r} must not be empty")
+            if key in ("epsilon", "horizon", "dt", "radius") and value <= 0:
+                raise ConfigError(f"config key {key!r} must be > 0")
+            if (key in ("n_walks", "n_inner", "n_realizations", "workers")
+                    and value < 1):
                 raise ConfigError(f"config key {key!r} must be >= 1")
             data[key] = value
         self.data = {**_DEFAULTS, **data}
@@ -143,7 +146,7 @@ def _initial_condition(cfg: RunConfig) -> InitialCondition:
     if kind == "constant":
         return InitialCondition.constant(cfg.get("u0_value", 1.0))
     if kind == "indicator":
-        site = cfg.get("u0_site") or [0] * cfg.get("dim", 1)
+        site = cfg.get("u0_site", [0] * cfg.get("dim", 1))
         return InitialCondition.indicator(
             [_as_int("u0_site", c) for c in site])
     raise ConfigError(f"unknown u0 kind {kind!r}")
@@ -152,7 +155,7 @@ def _initial_condition(cfg: RunConfig) -> InitialCondition:
 def cmd_generate(cfg: RunConfig) -> int:
     hurst = _hurst(cfg)
     grid = _grid(cfg)
-    raw = cfg.get("sites") or [[0]]
+    raw = cfg.get("sites", [[0]])
     if not all(isinstance(s, list) and s for s in raw):
         raise ConfigError("config key 'sites' must be a list of non-empty "
                           "coordinate lists")
@@ -194,13 +197,13 @@ def _sweep_spec(cfg: RunConfig) -> SweepSpec:
               "n_inner": cfg.get("n_inner"),
               "n_realizations": cfg.get("n_realizations"),
               "workers": cfg.get("workers")}
-    if cfg.get("hursts"):
+    if cfg.get("hursts") is not None:
         kwargs["hursts"] = tuple(float(h) for h in cfg.get("hursts"))
-    if cfg.get("epsilons"):
+    if cfg.get("epsilons") is not None:
         kwargs["epsilons"] = tuple(float(e) for e in cfg.get("epsilons"))
-    if cfg.get("horizon"):
+    if cfg.get("horizon") is not None:
         kwargs["horizon"] = cfg.get("horizon")
-    if cfg.get("jump_counts"):
+    if cfg.get("jump_counts") is not None:
         kwargs["jump_counts"] = tuple(_as_int("jump_counts", n)
                                       for n in cfg.get("jump_counts"))
     return SweepSpec(**kwargs)
@@ -218,7 +221,7 @@ def _run_experiments(cfg: RunConfig, names,
     status = EXIT_OK
     for name in names:
         run_spec, kwargs = spec, {}
-        if name == "rough_tail" and cfg.get("deltas"):
+        if name == "rough_tail" and cfg.get("deltas") is not None:
             kwargs["deltas"] = tuple(float(d) for d in cfg.get("deltas"))
         elif name == "fk_pde_crosscheck":
             kwargs["n_walks"] = cfg.get("n_walks")
@@ -244,7 +247,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     wcfg = WalkConfig(cfg.get("dim"), kappa, horizon)
     ic = _initial_condition(cfg)
     if cfg.get("noise"):
-        field = HurstField(hurst, grid, cfg.get("master_seed")).freeze()
+        field = HurstField(hurst, grid, cfg.get("master_seed"))
     else:
         field = ZeroField(grid)
     mode = cfg.get("mode")
@@ -269,9 +272,9 @@ def cmd_solve(cfg: RunConfig) -> int:
                   rows, cfg.header_lines())
     if cfg.get("run_pde"):
         cfg.require("epsilon")
-        radius = cfg.get("radius") or default_radius(kappa, horizon)
+        radius = cfg.get("radius", default_radius(kappa, horizon))
         domain = BoxDomain(wcfg.dim, radius)
-        dt = cfg.get("dt") or min(grid.step, 0.25 / kappa)
+        dt = cfg.get("dt", min(grid.step, 0.25 / kappa))
         scfg = SolverConfig(dt, kappa, grid, cfg.get("epsilon"))
         sol = solve_mollified(ic, field, scfg, domain, wcfg.start)
         srows = [[horizon, *site, val] for site, val in sorted(sol.items())]

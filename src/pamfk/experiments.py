@@ -17,8 +17,8 @@ import numpy as np
 
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid
-from .fk import (GridFunctionalEvaluator, InitialCondition, WalkBatch,
-                 estimate_quenched, sample_walk_batch)
+from .fk import (GridFunctionalEvaluator, InitialCondition, check_clamps,
+                 clamped_exp, estimate_quenched, sample_walk_batch)
 # Not called here; kept because perfbench patches and deletes this binding.
 from .fk import sample_walk_snapped  # noqa: F401
 from .kernels import kernel_sweep_rows, prop41_variance
@@ -51,6 +51,8 @@ class SweepSpec:
             raise ValueError("n_samples must be >= 100")
         if self.n_inner < 1:
             raise ValueError("n_inner must be >= 1")
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,6 @@ def _ueps_grid(spec: SweepSpec) -> TimeGrid:
     return TimeGrid(step, spec.horizon, pad=spec.epsilons[0])
 
 
-def _weights(ev: GridFunctionalEvaluator, walks: WalkBatch,
-             mode: str) -> np.ndarray:
-    return np.array([math.exp(x) for x in ev.exponents(walks, mode).tolist()])
-
-
 def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
     """Paired estimate of E|u_eps - u|^2 on shared (noise, walk) draws.
 
@@ -163,15 +160,18 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
         h = HurstParameter(hv)
         sq = np.zeros((len(spec.epsilons), spec.n_samples))
         for k in range(spec.n_samples):
-            fld = HurstField(h, grid, mix64(spec.master_seed, 11, k)).freeze()
+            fld = HurstField(h, grid, mix64(spec.master_seed, 11, k))
             walks = sample_walk_batch(
                 cfg, grid, [mix64(spec.master_seed, 13, k, j)
                             for j in range(spec.n_inner)])
-            rough_w = _weights(GridFunctionalEvaluator(fld), walks, "rough")
+            rough_w, clamps = clamped_exp(
+                GridFunctionalEvaluator(fld).exponents(walks, "rough"))
             for e_i, eps in enumerate(spec.epsilons):
-                smooth_w = _weights(GridFunctionalEvaluator(fld, eps), walks,
-                                    "smooth")
+                smooth_w, c = clamped_exp(GridFunctionalEvaluator(
+                    fld, eps).exponents(walks, "smooth"))
+                clamps += c
                 sq[e_i, k] = np.mean(smooth_w - rough_w) ** 2
+            check_clamps(clamps)
         means = sq.mean(axis=1)
         stderrs = sq.std(axis=1, ddof=1) / math.sqrt(spec.n_samples)
         fit = fit_loglog(spec.epsilons, means)
@@ -242,7 +242,7 @@ def run_fk_pde_crosscheck(spec: SweepSpec, epsilon: float = 0.1,
                           n_walks: int = 4000) -> ExperimentReport:
     """Quenched smooth FK estimate against the mollified PDE solution.
 
-    Both sides see the identical frozen noise; passes iff at least 95%
+    Both sides read the same fixed noise field; passes iff at least 95%
     of (realization, H) checks agree within 3*stderr plus the Richardson
     time-discretization bound.
     """
@@ -258,8 +258,7 @@ def run_fk_pde_crosscheck(spec: SweepSpec, epsilon: float = 0.1,
     for hv in spec.hursts:
         h = HurstParameter(hv)
         for real in range(spec.n_realizations):
-            fld = HurstField(h, grid,
-                             mix64(spec.master_seed, 19, real)).freeze()
+            fld = HurstField(h, grid, mix64(spec.master_seed, 19, real))
             est = estimate_quenched(cfg, ic, fld, mode="smooth",
                                     epsilon=epsilon, n_walks=n_walks,
                                     seed=mix64(spec.master_seed, 23, real),

@@ -225,8 +225,8 @@ class HurstField:
     from (master_seed, site), so the field does not depend on the order
     in which sites are first touched.  paths_on_grid is the only read:
     it returns the paths of a set of sites stacked row by row, drawing
-    all missing ones in one batch.  Every path is drawn once and cached,
-    before and after freeze(); caching changes no value.
+    all missing ones in one batch.  Every path is drawn once and cached;
+    caching changes no value.
     """
 
     def __init__(self, hurst: HurstParameter, grid: TimeGrid,
@@ -235,7 +235,6 @@ class HurstField:
         self.grid = grid
         self.master_seed = master_seed
         self._paths: dict[Site, np.ndarray] = {}
-        self._frozen = False
 
     def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
         """Paths of sites stacked row by row; missing ones drawn together."""
@@ -248,25 +247,9 @@ class HurstField:
             self._paths.update(zip(missing, rows))
         return np.array([self._paths[s] for s in sites])
 
+    # A no-op, kept because perfbench/workloads.py still calls it.
     def freeze(self) -> "HurstField":
-        self._frozen = True
         return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def value(self, t: float, site: Site) -> float:
-        """W(t, site); exact at grid points, linear interpolation between."""
-        grid = self.grid
-        if not (-grid.pad - 1e-12 <= t <= grid.horizon + grid.pad + 1e-12):
-            raise ValueError(f"time {t} outside stored range")
-        path = self.paths_on_grid([site])[0]
-        x = (t + grid.pad) / grid.step
-        i = int(np.floor(x))
-        i = min(max(i, 0), grid.total_points - 2)
-        frac = x - i
-        return float((1.0 - frac) * path[i] + frac * path[i + 1])
 
 
 class ZeroField:
@@ -278,31 +261,21 @@ class ZeroField:
     def paths_on_grid(self, sites: Sequence[Site]) -> np.ndarray:
         return np.zeros((len(sites), self.grid.total_points))
 
-    def value(self, t: float, site: Site) -> float:
-        return 0.0
-
-    def freeze(self) -> "ZeroField":
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class EpsilonDerivative:
-    """Symmetric epsilon-derivative view of a field.
+    """Symmetric epsilon-derivative of grid paths on one TimeGrid.
 
     epsilon must be a grid multiple in [step, pad] so W(t +/- eps) is
     always available on the stored grid.
     """
 
-    field: object
+    grid: TimeGrid
     epsilon: float
     _shift: int = _dc_field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        grid = self.field.grid
+        grid = self.grid
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if not _is_multiple(self.epsilon, grid.step):
@@ -314,16 +287,10 @@ class EpsilonDerivative:
             raise ValueError("epsilon must be <= grid.pad")
         object.__setattr__(self, "_shift", shift)
 
-    def at(self, t: float, site: Site) -> float:
-        """(W(t+eps) - W(t-eps)) / (2 eps); exact when t is grid-aligned."""
-        f = self.field
-        return (f.value(t + self.epsilon, site)
-                - f.value(t - self.epsilon, site)) / (2.0 * self.epsilon)
-
     def grid_values(self, paths: np.ndarray) -> np.ndarray:
         """dW_eps at every grid time in [0, horizon] from grid paths of
         shape (..., total_points), such as paths_on_grid rows."""
-        grid = self.field.grid
+        grid = self.grid
         zi, k, n = grid.zero_index, self._shift, grid.count
         return (paths[..., zi + k:zi + k + n]
                 - paths[..., zi - k:zi - k + n]) / (2.0 * self.epsilon)

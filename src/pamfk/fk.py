@@ -10,6 +10,7 @@ and independent of the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._seeds import mix64, site_seed
 from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
-                  ZeroField, sample_at_times)
+                  sample_at_times)
 from .kernels import path_increment_variance
 from .walk import (Site, WalkConfig, WalkPath, reverse_view, sample_walk,
                    walk_draws)
@@ -163,7 +164,7 @@ class GridFunctionalEvaluator:
     def __init__(self, field, epsilon: float | None = None) -> None:
         self.field = field
         self.grid: TimeGrid = field.grid
-        self._ed = (EpsilonDerivative(field, epsilon)
+        self._ed = (EpsilonDerivative(self.grid, epsilon)
                     if epsilon is not None else None)
         if epsilon is not None and epsilon < 4.0 * self.grid.step - 1e-12:
             raise ValueError(
@@ -288,10 +289,23 @@ def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid,
                                   np.full(len(seeds), cfg.horizon), grid)
 
 
-def _clamped_exp(x: float) -> tuple[float, int]:
-    if abs(x) > EXP_CLAMP:
-        return math.exp(math.copysign(EXP_CLAMP, x)), 1
-    return math.exp(x), 0
+def clamped_exp(exponents: np.ndarray) -> tuple[np.ndarray, int]:
+    """math.exp of every exponent, with |x| clamped to EXP_CLAMP, and the
+    number of exponents that hit the clamp."""
+    weights = np.empty(len(exponents))
+    clamps = 0
+    for i, x in enumerate(exponents.tolist()):
+        if abs(x) > EXP_CLAMP:
+            x = math.copysign(EXP_CLAMP, x)
+            clamps += 1
+        weights[i] = math.exp(x)
+    return weights, clamps
+
+
+def check_clamps(clamps: int) -> None:
+    """Raise ClampError if any exponent hit the clamp."""
+    if clamps:
+        raise ClampError(f"{clamps} exponent(s) hit the overflow clamp")
 
 
 # Walks per WalkBatch inside a block.  It caps the walk arrays alive at
@@ -308,12 +322,10 @@ def _weights_block(args) -> tuple[int, np.ndarray, int]:
         stop = min(start + _BATCH_WALKS, hi)
         batch = sample_walk_batch(cfg, field.grid,
                                   range(seed + start, seed + stop))
-        exponents = evaluator.exponents(batch, mode).tolist()
-        for i, (x, site) in enumerate(zip(exponents, batch.terminal.tolist()),
-                                      start - lo):
-            w, c = _clamped_exp(x)
-            clamps += c
-            out[i] = ic(site) * w
+        weights, c = clamped_exp(evaluator.exponents(batch, mode))
+        clamps += c
+        out[start - lo:stop - lo] = weights * [
+            ic(site) for site in batch.terminal.tolist()]
     return lo, out, clamps
 
 
@@ -323,16 +335,13 @@ def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
                       allow_clamp: bool = False) -> EstimateResult:
     """Walk-average of FK weights for one fixed noise realization.
 
-    The noise field must be frozen.  Walk i uses seed seed+i and the
-    reduction runs in index order, so the result is bitwise identical
-    for any worker count.
+    Walk i uses seed seed+i and the reduction runs in index order, so the
+    result is bitwise identical for any worker count.
     """
     if mode not in ("rough", "smooth"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "smooth" and epsilon is None:
         raise ValueError("smooth mode needs epsilon")
-    if not field.frozen:
-        raise ValueError("field must be frozen before estimation")
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
     eps = epsilon if mode == "smooth" else None
@@ -341,15 +350,17 @@ def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
     jobs = [(cfg, ic, field, mode, eps, seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # len(jobs) <= workers; a pool starts all its processes at once
+        with ProcessPoolExecutor(
+                max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             results = list(pool.map(_weights_block, jobs))
     else:
         results = [_weights_block(job) for job in jobs]
     results.sort(key=lambda r: r[0])
     weights = np.concatenate([r[1] for r in results])
     clamps = sum(r[2] for r in results)
-    if clamps and not allow_clamp:
-        raise ClampError(f"{clamps} exponent(s) hit the overflow clamp")
+    if not allow_clamp:
+        check_clamps(clamps)
     mean = float(np.sum(weights) / n_walks)
     std = float(np.std(weights, ddof=1)) if n_walks > 1 else 0.0
     return EstimateResult(
@@ -362,22 +373,17 @@ def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
                              p: float = 1.0, mode: str = "rough",
                              epsilon: float | None = None,
                              n_outer: int = 200, n_inner: int = 200,
-                             seed: int = 0,
-                             noise: bool = True) -> EstimateResult:
+                             seed: int = 0) -> EstimateResult:
     """Nested Monte Carlo estimate of E|u(t,x)|^p (or E|u_eps|^p).
 
     Each outer sample draws a fresh noise realization and averages the
-    FK weight over n_inner walks; noise=False reduces to the zero-noise
-    walk functional.
+    FK weight over n_inner walks.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     samples = np.empty(n_outer)
     for k in range(n_outer):
-        if noise:
-            fld = HurstField(hurst, grid, mix64(seed, k)).freeze()
-        else:
-            fld = ZeroField(grid)
+        fld = HurstField(hurst, grid, mix64(seed, k))
         inner = estimate_quenched(cfg, ic, fld, mode=mode, epsilon=epsilon,
                                   n_walks=n_inner, seed=mix64(seed, k, 1))
         samples[k] = abs(inner.mean) ** p

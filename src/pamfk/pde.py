@@ -3,7 +3,7 @@
 Solves du/dt = kappa * Lap(u) + u * dW_eps on a truncated sup-norm box
 with zero Dirichlet boundary, by Strang splitting with an exact scalar
 reaction sub-step.  This is the independent cross-check for the smooth
-Feynman-Kac estimator: both must see the identical frozen noise field.
+Feynman-Kac estimator: both read the same rows of one fixed noise field.
 """
 
 from __future__ import annotations
@@ -106,8 +106,6 @@ def solve_mollified(ic, field, cfg: SolverConfig, domain: BoxDomain,
     quarter point, explicit-Euler diffusion, half-step reaction at the
     third quarter point.
     """
-    if not field.frozen:
-        raise ValueError("field must be frozen before solving")
     offsets = domain.offsets()
     sites = [tuple(c + o for c, o in zip(center, off)) for off in offsets]
     shape = domain.shape

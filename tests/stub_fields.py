@@ -21,13 +21,3 @@ class LinearField:
         slopes = [self.slopes.get(tuple(site), self.default)
                   for site in sites]
         return np.multiply.outer(slopes, self.grid.times)
-
-    def value(self, t: float, site: Site) -> float:
-        return self.slopes.get(tuple(site), self.default) * t
-
-    def freeze(self) -> "LinearField":
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return True

@@ -15,6 +15,11 @@ from pamfk.quadrature import QuadratureError
 from test_golden import VALIDATE_CONFIG
 
 
+SMOOTH_PDE_CONFIG = {"hurst": 0.5, "step": 0.0125, "horizon": 1.0, "pad": 0.1,
+                     "epsilon": 0.1, "mode": "smooth", "n_walks": 10,
+                     "run_pde": True}
+
+
 def write_config(tmp_path, name="cfg.json", **data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -143,13 +148,40 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("n_walks", 0), ("n_walks", -5), ("n_inner", 0), ("workers", 0),
-        ("workers", -2)])
+        ("workers", -2), ("n_realizations", 0)])
     def test_count_below_one(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
                            **{"n_walks": 10, key: value})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"config key {key!r} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, data, key", [
+        ("experiment", {"experiment": "rate_sweep", "horizon": 0.0},
+         "horizon"),
+        ("experiment", {"experiment": "rate_sweep", "hursts": []}, "hursts"),
+        ("experiment", {"experiment": "rate_sweep", "epsilons": []},
+         "epsilons"),
+        ("experiment", {"experiment": "rate_sweep", "jump_counts": []},
+         "jump_counts"),
+        ("experiment", {"experiment": "rough_tail", "n_samples": 100,
+                        "deltas": []}, "deltas"),
+        ("generate", {"hurst": 0.5, "step": 0.125, "horizon": 1.0,
+                      "sites": []}, "sites"),
+        ("solve", {**SMOOTH_PDE_CONFIG, "radius": 0}, "radius"),
+        ("solve", {**SMOOTH_PDE_CONFIG, "dt": 0.0}, "dt"),
+        ("solve", {**SMOOTH_PDE_CONFIG, "u0": "indicator", "u0_site": []},
+         "u0_site"),
+    ], ids=["horizon", "hursts", "epsilons", "jump_counts", "deltas",
+            "sites", "radius", "dt", "u0_site"])
+    def test_falsy_value_is_not_a_default(self, tmp_path, capsys, command,
+                                          data, key):
+        # a given zero or empty value must not fall back to the default
+        cfg = write_config(tmp_path, **data)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag_below_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
@@ -308,6 +340,16 @@ class TestNumericalFailures:
         self._assert_exit_1(["solve", "--config", cfg,
                              "--out", str(tmp_path / "o")], capsys,
                             "collision-free")
+
+    def test_ueps_weight_overflow(self, tmp_path, capsys):
+        # W(1000) at H = 0.95 has sd ~708, so walks that never jump
+        # (kappa 1e-6) overflow exp at the first few outer samples
+        cfg = write_config(tmp_path, experiment="ueps_convergence",
+                           hursts=[0.95], horizon=1000.0, kappa=1e-6,
+                           epsilons=[0.8, 0.4, 0.2, 0.1], n_samples=100,
+                           n_inner=1)
+        self._assert_exit_1(["experiment", "--config", cfg,
+                             "--out", str(tmp_path / "o")], capsys, "clamp")
 
     def test_linalg_error_is_not_a_config_error(self, tmp_path, capsys,
                                                 monkeypatch):

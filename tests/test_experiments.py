@@ -18,6 +18,8 @@ def test_sweep_spec_validation():
         SweepSpec(epsilons=(0.1, 0.2))  # not decreasing
     with pytest.raises(ValueError):
         SweepSpec(n_samples=50)
+    with pytest.raises(ValueError, match="n_realizations must be >= 1"):
+        SweepSpec(n_realizations=0)
 
 
 @pytest.mark.parametrize("n_inner", [0, -1])

@@ -248,24 +248,21 @@ class TestHurstField:
         rows = f.paths_on_grid([(0,), (1,)])
         assert not np.array_equal(rows[0], rows[1])
 
-    def test_freeze_semantics(self, fbm_draws):
+    def test_repeat_reads_equal_and_draw_nothing(self, fbm_draws):
         g = TimeGrid(0.1, 1.0)
         f = HurstField(HurstParameter(0.4), g, 9)
         pre = f.paths_on_grid([(0,)])[0]
-        f.freeze()
-        assert f.frozen
-        # reads still work and stay consistent after freezing
         assert np.array_equal(f.paths_on_grid([(0,)])[0], pre)
         fresh = f.paths_on_grid([(5,)])[0]
         assert len(fbm_draws) == 2
-        # a second read of a frozen field draws nothing
+        # a second read of a cached site draws nothing
         assert np.array_equal(f.paths_on_grid([(5,)])[0], fresh)
         assert len(fbm_draws) == 2
 
     def test_batch_read_draws_missing_sites_once(self, fbm_draws):
         g = TimeGrid(0.05, 1.0, pad=0.1)
         h = HurstParameter(0.3)
-        f = HurstField(h, g, 4).freeze()
+        f = HurstField(h, g, 4)
         one = f.paths_on_grid([(2,)])[0]
         rows = f.paths_on_grid([(0,), (2,), (-1,), (0,)])
         assert len(fbm_draws) == 3  # (2,) once, then (0,) and (-1,) together
@@ -275,50 +272,41 @@ class TestHurstField:
             assert np.array_equal(
                 row, sample_grid_paths(h, g, [site_seed(4, site)])[0])
 
-    def test_value_interpolates(self):
-        g = TimeGrid(0.1, 1.0, pad=0.2)
-        f = HurstField(HurstParameter(0.6), g, 1)
-        p = f.paths_on_grid([(0,)])[0]
-        assert f.value(0.3, (0,)) == pytest.approx(p[g.index_of(0.3)])
-        mid = 0.5 * (p[g.index_of(0.3)] + p[g.index_of(0.4)])
-        assert f.value(0.35, (0,)) == pytest.approx(mid)
-        with pytest.raises(ValueError):
-            f.value(1.5, (0,))
-
 
 class TestEpsilonDerivative:
     def test_zero_field(self):
         g = TimeGrid(0.05, 1.0, pad=0.1)
-        ed = EpsilonDerivative(ZeroField(g), 0.1)
-        assert ed.at(0.5, (0,)) == 0.0
-        assert np.all(ed.grid_values(ed.field.paths_on_grid([(0,)])) == 0.0)
+        ed = EpsilonDerivative(g, 0.1)
+        dw = ed.grid_values(ZeroField(g).paths_on_grid([(0,)]))
+        assert dw[0, g.index_of(0.5) - g.zero_index] == 0.0
+        assert np.all(dw == 0.0)
 
     def test_linear_field_slope(self):
         g = TimeGrid(0.05, 1.0, pad=0.1)
-        ed = EpsilonDerivative(LinearField(g, {(0,): 2.5}), 0.1)
-        assert ed.at(0.4, (0,)) == pytest.approx(2.5)
-        assert np.allclose(ed.grid_values(ed.field.paths_on_grid([(0,)])),
-                           2.5)
+        ed = EpsilonDerivative(g, 0.1)
+        dw = ed.grid_values(LinearField(g, {(0,): 2.5}).paths_on_grid([(0,)]))
+        assert dw[0, g.index_of(0.4) - g.zero_index] == pytest.approx(2.5)
+        assert np.allclose(dw, 2.5)
 
     def test_equals_centered_difference(self):
         g = TimeGrid(0.05, 1.0, pad=0.05)
         f = HurstField(HurstParameter(0.7), g, 2)
-        ed = EpsilonDerivative(f, g.step)
+        ed = EpsilonDerivative(g, g.step)
         p = f.paths_on_grid([(0,)])[0]
         i = g.index_of(0.5)
         expect = (p[i + 1] - p[i - 1]) / (2 * g.step)
-        assert ed.at(0.5, (0,)) == pytest.approx(expect, rel=1e-12)
+        dw = ed.grid_values(p)
+        assert dw[i - g.zero_index] == pytest.approx(expect, rel=1e-12)
 
     def test_epsilon_validation(self):
         g = TimeGrid(0.05, 1.0, pad=0.1)
-        f = ZeroField(g)
         with pytest.raises(ValueError):
-            EpsilonDerivative(f, 0.07)  # not a grid multiple
+            EpsilonDerivative(g, 0.07)  # not a grid multiple
         with pytest.raises(ValueError):
-            EpsilonDerivative(f, 0.2)  # exceeds pad
+            EpsilonDerivative(g, 0.2)  # exceeds pad
         for bad in (0.0, -0.1):
             with pytest.raises(ValueError, match="epsilon must be > 0"):
-                EpsilonDerivative(f, bad)
+                EpsilonDerivative(g, bad)
 
     def test_variance_matches_closed_form(self):
         # Var dW_eps(t) = (2 eps)^{2H} / (4 eps^2)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestFunctionals:
 
     def test_smooth_batch_reads_field_once(self, monkeypatch):
         g = TimeGrid(0.025, 1.0, pad=0.1)
-        f = HurstField(HurstParameter(0.4), g, 3).freeze()
+        f = HurstField(HurstParameter(0.4), g, 3)
         reads = []
         read = f.paths_on_grid
 
@@ -204,7 +205,7 @@ def scalar_exponent(field, path, epsilon=None):
         def table(site):
             return field.paths_on_grid([site])[0][zi:zi + grid.count]
     else:
-        ed = EpsilonDerivative(field, epsilon)
+        ed = EpsilonDerivative(grid, epsilon)
 
         def table(site):
             dw = ed.grid_values(field.paths_on_grid([site])[0])
@@ -236,8 +237,8 @@ class TestWalkBatch:
 
     def fields(self):
         g = self.GRID
-        return [HurstField(HurstParameter(0.3), g, 8).freeze(),
-                HurstField(HurstParameter(0.75), g, 9).freeze(),
+        return [HurstField(HurstParameter(0.3), g, 8),
+                HurstField(HurstParameter(0.75), g, 9),
                 LinearField(g, {(0,): 2.0, (-1,): -1.5}, default=0.5),
                 ZeroField(g)]
 
@@ -357,7 +358,7 @@ class TestWalkBatchSampler:
         assert len(batch) == 0 and batch.sites == []
         assert batch.lo.shape == batch.hi.shape == batch.row.shape == (0, 1)
         assert batch.terminal.shape == (0, 2)
-        field = HurstField(HurstParameter(0.5), grid, 1).freeze()
+        field = HurstField(HurstParameter(0.5), grid, 1)
         assert GridFunctionalEvaluator(field).exponents(
             batch, "rough").shape == (0,)
 
@@ -383,7 +384,7 @@ class TestNoWalkPathInHotLoops:
     @pytest.mark.parametrize("mode", ["rough", "smooth"])
     def test_estimate_quenched(self, walk_paths, mode):
         g = TimeGrid(0.0125, 1.0, pad=0.1)
-        f = HurstField(HurstParameter(0.5), g, 2).freeze()
+        f = HurstField(HurstParameter(0.5), g, 2)
         estimate_quenched(WalkConfig(1, 1.0, 1.0),
                           InitialCondition.constant(), f, mode=mode,
                           epsilon=0.1, n_walks=50, seed=3)
@@ -406,13 +407,6 @@ class TestQuenchedEstimator:
         assert est.stderr == 0.0
         assert est.count == 100
 
-    def test_requires_frozen_field(self):
-        g = TimeGrid(0.05, 1.0)
-        f = HurstField(HurstParameter(0.5), g, 0)
-        with pytest.raises(ValueError, match="frozen"):
-            estimate_quenched(WalkConfig(1, 1.0, 1.0),
-                              InitialCondition.constant(), f)
-
     @pytest.mark.parametrize("n_walks", [0, -5])
     def test_n_walks_below_one(self, n_walks):
         with pytest.raises(ValueError, match="n_walks must be >= 1"):
@@ -433,7 +427,7 @@ class TestQuenchedEstimator:
 
     def test_worker_count_invariance(self):
         g = TimeGrid(0.02, 1.0, pad=0.08)
-        f = HurstField(HurstParameter(0.6), g, 12).freeze()
+        f = HurstField(HurstParameter(0.6), g, 12)
         cfg = WalkConfig(1, 1.0, 1.0)
         ic = InitialCondition.constant()
         kw = dict(mode="smooth", epsilon=0.08, n_walks=64, seed=5)
@@ -441,6 +435,38 @@ class TestQuenchedEstimator:
         parallel = estimate_quenched(cfg, ic, f, workers=3, **kw)
         assert serial.mean == parallel.mean
         assert serial.stderr == parallel.stderr
+
+    def test_pool_capped_at_blocks_and_cpus(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records max_workers and runs the blocks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pamfk.fk, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        g = TimeGrid(0.02, 1.0, pad=0.08)
+        f = HurstField(HurstParameter(0.6), g, 12)
+        cfg = WalkConfig(1, 1.0, 1.0)
+        ic = InitialCondition.constant()
+        for workers, n_walks, cap in ((500, 64, 3), (500, 2, 2), (2, 64, 2)):
+            kw = dict(mode="smooth", epsilon=0.08, n_walks=n_walks, seed=5)
+            pooled = estimate_quenched(cfg, ic, f, workers=workers, **kw)
+            assert started.pop() == cap
+            serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
+            assert (pooled.mean, pooled.stderr) == (serial.mean, serial.stderr)
+        assert started == []
 
     def test_clamp_raises_by_default(self):
         g = TimeGrid(0.02, 1.0, pad=0.08)
@@ -468,14 +494,6 @@ class TestQuenchedEstimator:
 
 
 class TestAnnealedEstimator:
-    def test_noise_disabled_constant(self):
-        g = TimeGrid(0.05, 1.0)
-        est = estimate_annealed_moment(WalkConfig(1, 1.0, 1.0),
-                                       InitialCondition.constant(),
-                                       HurstParameter(0.5), g, p=2.0,
-                                       n_outer=10, n_inner=10, noise=False)
-        assert est.mean == 1.0
-
     def test_p_validation(self):
         g = TimeGrid(0.05, 1.0)
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ def ueps_digest(tmp_dir: str) -> str:
 
 def quenched_digest() -> str:
     grid = TimeGrid(0.0125, 1.0, pad=0.1)
-    field = HurstField(HurstParameter(0.4), grid, 3).freeze()
+    field = HurstField(HurstParameter(0.4), grid, 3)
     cfg = WalkConfig(1, 1.0, 1.0)
     ic = InitialCondition.constant()
     parts = []

@@ -104,18 +104,11 @@ class TestZeroNoise:
 def _noisy_setup(hv=0.5, seed=21, epsilon=0.1):
     step = epsilon / 8
     g = TimeGrid(step, 1.0, pad=epsilon)
-    f = HurstField(HurstParameter(hv), g, seed).freeze()
+    f = HurstField(HurstParameter(hv), g, seed)
     return g, f
 
 
 class TestNoisySolver:
-    def test_requires_frozen_field(self):
-        g = TimeGrid(0.0125, 1.0, pad=0.1)
-        f = HurstField(HurstParameter(0.5), g, 0)
-        with pytest.raises(ValueError, match="frozen"):
-            solve_mollified(InitialCondition.constant(), f, _solver(g),
-                            BoxDomain(1, 5), (0,))
-
     def test_positivity(self):
         g, f = _noisy_setup()
         sol = solve_mollified(InitialCondition.indicator((0,)), f,
@@ -163,7 +156,7 @@ class TestNoisySolver:
     def test_2d_runs(self):
         eps = 0.1
         g = TimeGrid(eps / 4, 0.5, pad=eps)
-        f = HurstField(HurstParameter(0.5), g, 3).freeze()
+        f = HurstField(HurstParameter(0.5), g, 3)
         sol = solve_mollified(InitialCondition.indicator((0, 0)), f,
                               _solver(g, epsilon=eps), BoxDomain(2, 4), (0, 0))
         assert sol[(0, 0)] > 0.0
