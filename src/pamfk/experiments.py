@@ -17,8 +17,8 @@ import numpy as np
 
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid
-from .fk import (GridFunctionalEvaluator, InitialCondition, check_clamps,
-                 clamped_exp, estimate_quenched, sample_walk_batch)
+from .fk import (GridFunctionalEvaluator, InitialCondition,
+                 estimate_quenched, exp_weights, sample_walk_batch)
 # Not called here; kept because perfbench patches and deletes this binding.
 from .fk import sample_walk_snapped  # noqa: F401
 from .kernels import kernel_sweep_rows, prop41_variance
@@ -164,14 +164,12 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
             walks = sample_walk_batch(
                 cfg, grid, [mix64(spec.master_seed, 13, k, j)
                             for j in range(spec.n_inner)])
-            rough_w, clamps = clamped_exp(
+            rough_w = exp_weights(
                 GridFunctionalEvaluator(fld).exponents(walks, "rough"))
             for e_i, eps in enumerate(spec.epsilons):
-                smooth_w, c = clamped_exp(GridFunctionalEvaluator(
+                smooth_w = exp_weights(GridFunctionalEvaluator(
                     fld, eps).exponents(walks, "smooth"))
-                clamps += c
                 sq[e_i, k] = np.mean(smooth_w - rough_w) ** 2
-            check_clamps(clamps)
         means = sq.mean(axis=1)
         stderrs = sq.std(axis=1, ddof=1) / math.sqrt(spec.n_samples)
         fit = fit_loglog(spec.epsilons, means)
@@ -202,6 +200,8 @@ def run_rough_tail(spec: SweepSpec, deltas=(0.1, 0.05, 0.025)
     fits are stable within +/-50% across delta and L < R*delta, K <= R
     hold on every sampled path.
     """
+    if any(delta <= 0 for delta in deltas):
+        raise ValueError("deltas must be > 0")
     counts, flat = sample_poisson_jump_batch(spec.kappa, spec.horizon,
                                              spec.n_samples,
                                              mix64(spec.master_seed, 17))
@@ -259,8 +259,8 @@ def run_fk_pde_crosscheck(spec: SweepSpec, epsilon: float = 0.1,
         h = HurstParameter(hv)
         for real in range(spec.n_realizations):
             fld = HurstField(h, grid, mix64(spec.master_seed, 19, real))
-            est = estimate_quenched(cfg, ic, fld, mode="smooth",
-                                    epsilon=epsilon, n_walks=n_walks,
+            est = estimate_quenched(cfg, ic, fld, epsilon=epsilon,
+                                    n_walks=n_walks,
                                     seed=mix64(spec.master_seed, 23, real),
                                     workers=spec.workers)
             scfg = SolverConfig(dt, spec.kappa, grid, epsilon)

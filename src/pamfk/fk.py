@@ -63,7 +63,6 @@ class EstimateResult:
     count: int
     mode: str
     seed: int
-    clamps: int = 0
 
 
 class WalkBatch:
@@ -73,8 +72,8 @@ class WalkBatch:
     lo[i, c] and hi[i, c], counted from the time-0 point: each reversed
     jump time t becomes round(t / step), clamped to [0, count - 1].  Rows
     are padded to the longest walk with lo = hi = 0 at row 0, so padding
-    adds exactly +0.0.  Site rows are numbered in first-seen order over
-    the reversed walks; terminal[i] is walk i's site at the horizon.
+    adds exactly +0.0.  Site rows are numbered in np.unique (sorted)
+    order; terminal[i] is walk i's site at the horizon.
 
     WalkBatch(paths, grid) flattens WalkPaths; the FK estimators build
     their batches straight from arrays with sample_walk_batch.
@@ -124,15 +123,11 @@ class WalkBatch:
         live = cols[:-1] <= counts[:, None]
         self.lo = np.where(live, idx[:, :-1], 0)
         self.hi = np.where(live, idx[:, 1:], 0)
-        uniq, first, inverse = np.unique(sites[rev_seg], axis=0,
-                                         return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        uniq, inverse = np.unique(sites[rev_seg], axis=0,
+                                  return_inverse=True)
         self.row = np.zeros((len(counts), width), dtype=np.intp)
-        self.row[live] = rank[inverse.reshape(-1)]
-        self.sites = [tuple(site) for site in uniq[order].tolist()]
+        self.row[live] = inverse.reshape(-1)
+        self.sites = [tuple(site) for site in uniq.tolist()]
         self.terminal = sites[seg_end - 1]
 
     def __len__(self) -> int:
@@ -289,23 +284,12 @@ def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid,
                                   np.full(len(seeds), cfg.horizon), grid)
 
 
-def clamped_exp(exponents: np.ndarray) -> tuple[np.ndarray, int]:
-    """math.exp of every exponent, with |x| clamped to EXP_CLAMP, and the
-    number of exponents that hit the clamp."""
-    weights = np.empty(len(exponents))
-    clamps = 0
-    for i, x in enumerate(exponents.tolist()):
-        if abs(x) > EXP_CLAMP:
-            x = math.copysign(EXP_CLAMP, x)
-            clamps += 1
-        weights[i] = math.exp(x)
-    return weights, clamps
-
-
-def check_clamps(clamps: int) -> None:
-    """Raise ClampError if any exponent hit the clamp."""
+def exp_weights(exponents: np.ndarray) -> np.ndarray:
+    """math.exp of every exponent; ClampError if any |x| > EXP_CLAMP."""
+    clamps = int(np.count_nonzero(np.abs(exponents) > EXP_CLAMP))
     if clamps:
         raise ClampError(f"{clamps} exponent(s) hit the overflow clamp")
+    return np.array([math.exp(x) for x in exponents.tolist()], dtype=float)
 
 
 # Walks per WalkBatch inside a block.  It caps the walk arrays alive at
@@ -313,68 +297,58 @@ def check_clamps(clamps: int) -> None:
 _BATCH_WALKS = 512
 
 
-def _weights_block(args) -> tuple[int, np.ndarray, int]:
+def _weights_block(args) -> np.ndarray:
     (cfg, ic, field, mode, epsilon, seed, lo, hi) = args
     evaluator = GridFunctionalEvaluator(field, epsilon)
     out = np.empty(hi - lo)
-    clamps = 0
     for start in range(lo, hi, _BATCH_WALKS):
         stop = min(start + _BATCH_WALKS, hi)
         batch = sample_walk_batch(cfg, field.grid,
                                   range(seed + start, seed + stop))
-        weights, c = clamped_exp(evaluator.exponents(batch, mode))
-        clamps += c
+        weights = exp_weights(evaluator.exponents(batch, mode))
         out[start - lo:stop - lo] = weights * [
             ic(site) for site in batch.terminal.tolist()]
-    return lo, out, clamps
+    return out
 
 
 def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
-                      mode: str = "rough", epsilon: float | None = None,
-                      n_walks: int = 1000, seed: int = 0, workers: int = 1,
-                      allow_clamp: bool = False) -> EstimateResult:
+                      epsilon: float | None = None, n_walks: int = 1000,
+                      seed: int = 0, workers: int = 1) -> EstimateResult:
     """Walk-average of FK weights for one fixed noise realization.
 
+    The rough functional when epsilon is None, else the mollified one.
     Walk i uses seed seed+i and the reduction runs in index order, so the
     result is bitwise identical for any worker count.
     """
-    if mode not in ("rough", "smooth"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "smooth" and epsilon is None:
-        raise ValueError("smooth mode needs epsilon")
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
-    eps = epsilon if mode == "smooth" else None
+    mode = "rough" if epsilon is None else "smooth"
     n_blocks = max(workers, 1)
     bounds = np.linspace(0, n_walks, n_blocks + 1).astype(int)
-    jobs = [(cfg, ic, field, mode, eps, seed, int(lo), int(hi))
+    jobs = [(cfg, ic, field, mode, epsilon, seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if workers > 1 and len(jobs) > 1:
         # len(jobs) <= workers; a pool starts all its processes at once
         with ProcessPoolExecutor(
                 max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_weights_block, jobs))
+            blocks = list(pool.map(_weights_block, jobs))
     else:
-        results = [_weights_block(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
-    weights = np.concatenate([r[1] for r in results])
-    clamps = sum(r[2] for r in results)
-    if not allow_clamp:
-        check_clamps(clamps)
+        blocks = [_weights_block(job) for job in jobs]
+    weights = np.concatenate(blocks)
     mean = float(np.sum(weights) / n_walks)
     std = float(np.std(weights, ddof=1)) if n_walks > 1 else 0.0
     return EstimateResult(
         mean=mean, stderr=std / math.sqrt(n_walks), count=n_walks,
-        mode=f"quenched-{mode}", seed=seed, clamps=clamps)
+        mode=f"quenched-{mode}", seed=seed)
 
 
 def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
                              hurst: HurstParameter, grid: TimeGrid,
-                             p: float = 1.0, mode: str = "rough",
-                             epsilon: float | None = None,
+                             p: float = 1.0, epsilon: float | None = None,
                              n_outer: int = 200, n_inner: int = 200,
                              seed: int = 0) -> EstimateResult:
-    """Nested Monte Carlo estimate of E|u(t,x)|^p (or E|u_eps|^p).
+    """Nested Monte Carlo estimate of E|u(t,x)|^p, or of E|u_eps|^p when
+    epsilon is given.
 
     Each outer sample draws a fresh noise realization and averages the
     FK weight over n_inner walks.
@@ -384,14 +358,15 @@ def estimate_annealed_moment(cfg: WalkConfig, ic: InitialCondition,
     samples = np.empty(n_outer)
     for k in range(n_outer):
         fld = HurstField(hurst, grid, mix64(seed, k))
-        inner = estimate_quenched(cfg, ic, fld, mode=mode, epsilon=epsilon,
+        inner = estimate_quenched(cfg, ic, fld, epsilon=epsilon,
                                   n_walks=n_inner, seed=mix64(seed, k, 1))
         samples[k] = abs(inner.mean) ** p
     mean = float(np.mean(samples))
     std = float(np.std(samples, ddof=1)) if n_outer > 1 else 0.0
     return EstimateResult(
         mean=mean, stderr=std / math.sqrt(n_outer), count=n_outer,
-        mode=f"annealed-{mode}", seed=seed)
+        mode=f"annealed-{'rough' if epsilon is None else 'smooth'}",
+        seed=seed)
 
 
 def annealed_mean_rough_oracle(cfg: WalkConfig, hurst: HurstParameter,

@@ -193,7 +193,7 @@ def test_criterion_09_moment_stability():
     for hv in (0.25, 0.75):
         h = HurstParameter(hv)
         ests = [estimate_annealed_moment(cfg, ic, h, grid, p=2.0,
-                                         mode="smooth", epsilon=eps,
+                                         epsilon=eps,
                                          n_outer=150, n_inner=150, seed=13)
                 for eps in (0.1, 0.05, 0.025)]
         for i in range(len(ests)):

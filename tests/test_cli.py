@@ -138,13 +138,19 @@ class TestConfigValidation:
         assert main(["generate", "--config", cfg, "--out", out]) == 0
         assert read_data_rows(os.path.join(out, "fbm_paths.csv"))[1][0] == "1"
 
-    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
-    def test_non_positive_epsilon(self, tmp_path, capsys, epsilon):
-        cfg = write_config(tmp_path, experiment="fk_pde_crosscheck",
-                           n_walks=10, epsilon=epsilon)
-        assert main(["experiment", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "epsilon" in capsys.readouterr().err
+    @pytest.mark.parametrize("data, key", [
+        ({"experiment": "fk_pde_crosscheck", "epsilon": 0.0}, "epsilon"),
+        ({"experiment": "fk_pde_crosscheck", "epsilon": -0.1}, "epsilon"),
+        ({"experiment": "rough_tail", "kappa": 0.0}, "kappa"),
+        ({"experiment": "rough_tail", "deltas": [0.0]}, "deltas"),
+        ({"experiment": "rough_tail", "deltas": [-0.1, 0.05]}, "deltas"),
+    ], ids=["0.0", "-0.1", "kappa", "deltas_zero", "deltas_negative"])
+    def test_non_positive_epsilon(self, tmp_path, capsys, data, key):
+        cfg = write_config(tmp_path, n_walks=10, n_samples=100, **data)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key {key!r} must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("n_walks", 0), ("n_walks", -5), ("n_inner", 0), ("workers", 0),
@@ -181,6 +187,20 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, text", [
+        ({"mode": "weird"}, "unknown mode 'weird'"),
+        ({"mode": "weird", "run_fk": False}, "unknown mode 'weird'"),
+        ({"u0": "indicator", "u0_site": [0, 0]}, "'u0_site'"),
+    ], ids=["mode", "mode_no_fk", "u0_site_dim"])
+    def test_solve_config_error_writes_nothing(self, tmp_path, capsys, data,
+                                               text):
+        cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
+                           n_walks=10, **data)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert text in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_flag_below_one(self, tmp_path, capsys):

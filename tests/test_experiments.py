@@ -77,6 +77,12 @@ def test_rough_tail_small_scale():
     assert report.passed
 
 
+@pytest.mark.parametrize("deltas", [(0.0,), (-0.1, 0.05)])
+def test_rough_tail_rejects_non_positive_delta(deltas):
+    with pytest.raises(ValueError, match="deltas must be > 0"):
+        run_rough_tail(SweepSpec(n_samples=100), deltas=deltas)
+
+
 def test_ueps_convergence_brownian_small():
     spec = SweepSpec(hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
                      n_samples=100, n_inner=40, master_seed=2)

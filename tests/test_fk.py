@@ -381,13 +381,14 @@ class TestNoWalkPathInHotLoops:
         monkeypatch.setattr(WalkPath, "__post_init__", counted)
         return made
 
-    @pytest.mark.parametrize("mode", ["rough", "smooth"])
-    def test_estimate_quenched(self, walk_paths, mode):
+    @pytest.mark.parametrize("epsilon", [None, 0.1],
+                             ids=["rough", "smooth"])
+    def test_estimate_quenched(self, walk_paths, epsilon):
         g = TimeGrid(0.0125, 1.0, pad=0.1)
         f = HurstField(HurstParameter(0.5), g, 2)
         estimate_quenched(WalkConfig(1, 1.0, 1.0),
-                          InitialCondition.constant(), f, mode=mode,
-                          epsilon=0.1, n_walks=50, seed=3)
+                          InitialCondition.constant(), f,
+                          epsilon=epsilon, n_walks=50, seed=3)
         assert walk_paths == []
 
     def test_ueps_convergence(self, walk_paths):
@@ -415,22 +416,12 @@ class TestQuenchedEstimator:
                               ZeroField(TimeGrid(0.05, 1.0)),
                               n_walks=n_walks)
 
-    def test_mode_validation(self):
-        g = TimeGrid(0.05, 1.0)
-        f = ZeroField(g)
-        cfg = WalkConfig(1, 1.0, 1.0)
-        ic = InitialCondition.constant()
-        with pytest.raises(ValueError):
-            estimate_quenched(cfg, ic, f, mode="weird")
-        with pytest.raises(ValueError):
-            estimate_quenched(cfg, ic, f, mode="smooth")  # missing epsilon
-
     def test_worker_count_invariance(self):
         g = TimeGrid(0.02, 1.0, pad=0.08)
         f = HurstField(HurstParameter(0.6), g, 12)
         cfg = WalkConfig(1, 1.0, 1.0)
         ic = InitialCondition.constant()
-        kw = dict(mode="smooth", epsilon=0.08, n_walks=64, seed=5)
+        kw = dict(epsilon=0.08, n_walks=64, seed=5)
         serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
         parallel = estimate_quenched(cfg, ic, f, workers=3, **kw)
         assert serial.mean == parallel.mean
@@ -461,7 +452,7 @@ class TestQuenchedEstimator:
         cfg = WalkConfig(1, 1.0, 1.0)
         ic = InitialCondition.constant()
         for workers, n_walks, cap in ((500, 64, 3), (500, 2, 2), (2, 64, 2)):
-            kw = dict(mode="smooth", epsilon=0.08, n_walks=n_walks, seed=5)
+            kw = dict(epsilon=0.08, n_walks=n_walks, seed=5)
             pooled = estimate_quenched(cfg, ic, f, workers=workers, **kw)
             assert started.pop() == cap
             serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
@@ -473,12 +464,8 @@ class TestQuenchedEstimator:
         f = LinearField(g, {}, default=2000.0)  # exponent ~ 2000
         cfg = WalkConfig(1, 1.0, 1.0)
         ic = InitialCondition.constant()
-        with pytest.raises(ClampError):
-            estimate_quenched(cfg, ic, f, mode="smooth", epsilon=0.08,
-                              n_walks=16, seed=0)
-        est = estimate_quenched(cfg, ic, f, mode="smooth", epsilon=0.08,
-                                n_walks=16, seed=0, allow_clamp=True)
-        assert est.clamps == 16
+        with pytest.raises(ClampError, match="^16 exponent"):
+            estimate_quenched(cfg, ic, f, epsilon=0.08, n_walks=16, seed=0)
 
     def test_indicator_zero_noise_matches_return_probability(self):
         # P(X(1) = 0) for the rate-1 lattice walk via an independent MC
@@ -508,7 +495,7 @@ class TestAnnealedEstimator:
         g = TimeGrid(0.025, 1.0)
         oracle = annealed_mean_rough_oracle(cfg, h, n_walks=4000, seed=1)
         est = estimate_annealed_moment(cfg, InitialCondition.constant(), h, g,
-                                       p=1.0, mode="rough", n_outer=400,
+                                       p=1.0, n_outer=400,
                                        n_inner=100, seed=9)
         # p=1 of |mean| is biased toward the unsigned mean; weights are
         # positive here so the absolute value is exact

@@ -79,7 +79,7 @@ def quenched_digest() -> str:
     ic = InitialCondition.constant()
     parts = []
     for mode, eps in (("rough", None), ("smooth", 0.1)):
-        est = estimate_quenched(cfg, ic, field, mode=mode, epsilon=eps,
+        est = estimate_quenched(cfg, ic, field, epsilon=eps,
                                 n_walks=500, seed=11)
         parts.append(f"{mode} {est.mean!r} {est.stderr!r}")
     return _sha("\n".join(parts).encode())

@@ -135,7 +135,7 @@ class TestNoisySolver:
         g, f = _noisy_setup(hv=0.5, seed=33)
         ic = InitialCondition.indicator((0,))
         cfg = WalkConfig(1, 1.0, 1.0)
-        est = estimate_quenched(cfg, ic, f, mode="smooth", epsilon=0.1,
+        est = estimate_quenched(cfg, ic, f, epsilon=0.1,
                                 n_walks=4000, seed=17)
         dom = BoxDomain(1, default_radius(1.0, 1.0))
         scfg = _solver(g)
