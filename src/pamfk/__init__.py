@@ -15,7 +15,7 @@ from .kernels import (InnerProductInput, KernelEval, SegmentKernelInput,
                       path_increment_variance, prop41_variance, rho, s2, s3,
                       smooth_integral_variance)
 from .fk import (ClampError, EstimateResult, GridFunctionalEvaluator,
-                 InitialCondition, WalkBatch, WalkSnapError, estimate_quenched,
+                 InitialCondition, WalkBatch, estimate_quenched,
                  estimate_annealed_moment, rough_functional_exact)
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
@@ -30,7 +30,7 @@ __all__ = [
     "InitialCondition", "InnerProductInput", "KernelEval",
     "RateFit", "RoughStats", "SegmentKernelInput", "SolverConfig",
     "SweepSpec", "TimeGrid", "WalkBatch", "WalkConfig", "WalkPath",
-    "WalkSnapError", "ZeroField",
+    "ZeroField",
     "covariance", "default_radius", "eps_autocov",
     "estimate_annealed_moment", "estimate_quenched", "f_eps", "fit_loglog",
     "h_eps", "increment_covariance", "inner_gX_ge", "inner_geX_ge",

@@ -4,9 +4,8 @@ Subcommands: generate, walk, kernels, solve, experiment, validate.
 Configuration is a flat JSON document of typed keys; unknown keys are
 rejected.  Exit codes: 0 all requested verdicts PASS, 1 a verdict
 FAILed or a numerical failure (exponent clamp, quadrature not
-converging, no collision-free snapped walk, covariance not positive
-definite, circulant embedding not nonnegative definite), 2 configuration
-error.
+converging, covariance not positive definite, circulant embedding not
+nonnegative definite), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid, ZeroField
-from .fk import ClampError, InitialCondition, WalkSnapError, estimate_quenched
+from .fk import ClampError, InitialCondition, estimate_quenched
 from .pde import BoxDomain, SolverConfig, default_radius, solve_mollified
 from .experiments import EXPERIMENTS, SweepSpec, write_csv, write_report
 from .quadrature import QuadratureError
@@ -33,8 +32,7 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
 # LinAlgError subclasses ValueError, so this tuple is caught before the
 # configuration-error handler.
-_NUMERICAL_ERRORS = (ClampError, QuadratureError, WalkSnapError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ClampError, QuadratureError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):

@@ -162,8 +162,7 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
         for k in range(spec.n_samples):
             fld = HurstField(h, grid, mix64(spec.master_seed, 11, k))
             walks = sample_walk_batch(
-                cfg, grid, [mix64(spec.master_seed, 13, k, j)
-                            for j in range(spec.n_inner)])
+                cfg, grid, mix64(spec.master_seed, 13, k), spec.n_inner)
             rough_w = exp_weights(
                 GridFunctionalEvaluator(fld).exponents(walks, "rough"))
             for e_i, eps in enumerate(spec.epsilons):

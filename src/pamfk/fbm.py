@@ -135,7 +135,7 @@ def _circulant_eigenvalues(two_h: float, n: int) -> np.ndarray:
     h = HurstParameter(two_h / 2.0)
     rho = fgn_autocovariance(h, np.arange(n + 1))
     c = np.concatenate([rho, rho[-2:0:-1]])  # length 2n
-    lam = np.fft.fft(c).real
+    lam = np.fft.rfft(c).real  # bins 0..n; bin 2n-k equals bin k
     if lam.min() < -1e-9 * lam.max():
         raise np.linalg.LinAlgError(
             f"circulant embedding not nonnegative definite (H={h.h}, n={n})")
@@ -143,14 +143,14 @@ def _circulant_eigenvalues(two_h: float, n: int) -> np.ndarray:
 
 
 def _normals_to_spectral(z: np.ndarray, n: int) -> np.ndarray:
-    """Map 2n iid standard normals to the Hermitian spectral-domain vector."""
+    """Map 2n iid standard normals to bins 0..n of a Hermitian spectral
+    vector; bins n+1..2n-1 are the conjugate mirror, which irfft implies."""
     m = 2 * n
-    out = np.zeros(z.shape[:-1] + (m,), dtype=complex)
+    out = np.empty(z.shape[:-1] + (n + 1,), dtype=complex)
     out[..., 0] = z[..., 0]
     out[..., n] = z[..., 1]
-    # bin k in 1..n-1 takes z[2k] + i z[2k+1]; bin 2n-k is its conjugate
+    # bin k in 1..n-1 takes z[2k] + i z[2k+1]
     out[..., 1:n] = (z[..., 2:m:2] + 1j * z[..., 3:m:2]) / np.sqrt(2.0)
-    out[..., n + 1:] = np.conj(out[..., n - 1:0:-1])
     return out
 
 
@@ -159,7 +159,7 @@ def _fgn_from_normals(h: HurstParameter, n: int, z: np.ndarray) -> np.ndarray:
     lam = _circulant_eigenvalues(h.two_h, n)
     m = 2 * n
     spec = _normals_to_spectral(z, n)
-    return np.sqrt(m) * np.fft.ifft(np.sqrt(lam) * spec).real[..., :n]
+    return np.sqrt(m) * np.fft.irfft(np.sqrt(lam) * spec, m)[..., :n]
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The solution at (t, x) is the walk-average of u_o(X(t)) times the
 exponential of a noise functional along the time-reversed path: either
 the rough increment sum (the stochastic integral) or the mollified
-integral of dW_eps.  Estimators are deterministic given (seed, n_walks)
-and independent of the worker count.
+integral of dW_eps.  Estimators draw their walks in fixed-size blocks,
+one random stream per block, so they are deterministic given (seed,
+n_walks) and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from .fbm import (EpsilonDerivative, HurstField, HurstParameter, TimeGrid,
                   sample_at_times)
 from .kernels import path_increment_variance
 from .walk import (Site, WalkConfig, WalkPath, reverse_view, sample_walk,
-                   walk_draws)
+                   walk_block)
 
 EXP_CLAMP = 700.0
 
 
 class ClampError(RuntimeError):
     """An exponent hit the overflow clamp; the estimate is unreliable."""
-
-
-class WalkSnapError(RuntimeError):
-    """No walk with distinct snapped jump times within the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -215,10 +212,10 @@ def rough_functional_exact(path: WalkPath, hurst: HurstParameter,
 def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
     """One walk whose jump times are distinct after snapping to the grid.
 
-    The one-walk reference for sample_walk_batch, which must reproduce it
-    bit for bit.  A walk with two jumps on one grid index, or a jump on
-    the first or last grid point, is redrawn with seed mix64(seed,
-    attempt); the collision probability vanishes for fine grids.
+    A conditioned law that no estimator uses, kept because the benchmark
+    harness (perfbench/test_harness.py) deletes this binding: a walk with
+    two jumps on one grid index, or a jump on the first or last grid
+    point, is redrawn with seed mix64(seed, attempt).
     """
     for attempt in range(64):
         path = sample_walk(cfg, seed if attempt == 0 else mix64(seed, attempt))
@@ -227,61 +224,20 @@ def sample_walk_snapped(cfg: WalkConfig, grid: TimeGrid, seed: int) -> WalkPath:
         if (len(set(idx)) == len(idx)
                 and all(0 < j < grid.count - 1 for j in idx)):
             return WalkPath(path.horizon, tuple(snapped), path.sites)
-    raise WalkSnapError(
+    raise RuntimeError(
         "could not sample a collision-free walk; grid too coarse")
 
 
-def _sorted_jumps(draws: list, horizon: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jump counts, walk ids and per-walk ascending jump times of draws."""
-    counts = np.array([len(u) for u, _, _ in draws], dtype=np.intp)
-    u = np.concatenate([np.zeros(0)] + [u for u, _, _ in draws])
-    walk = np.repeat(np.arange(len(draws)), counts)
-    return counts, walk, u[np.lexsort((u, walk))] * horizon
+def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid, seed: int,
+                      n: int) -> WalkBatch:
+    """The n walks of walk_block(cfg, default_rng(seed), n) as a WalkBatch.
 
-
-def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid,
-                      seeds: Sequence[int]) -> WalkBatch:
-    """The walks sample_walk_snapped draws for seeds, as one WalkBatch.
-
-    Each walk makes the draws of walk_draws, and a walk whose snapped
-    jump indices collide or touch the ends of the grid is redrawn by the
-    same rule, so every array equals WalkBatch([sample_walk_snapped(cfg,
-    grid, s) for s in seeds], grid).  Sorting, snapping, the site walk
-    and the time reversal run over the whole batch at once.
+    Nothing is rejected: a jump that rounds onto another jump's grid
+    index or onto an end of the grid is a zero-length segment.
     """
-    seeds = list(seeds)
-    draws = [walk_draws(cfg, seed) for seed in seeds]
-    redraw = list(range(len(seeds)))
-    for attempt in range(1, 65):
-        _, walk, times = _sorted_jumps([draws[i] for i in redraw],
-                                       cfg.horizon)
-        k = np.rint(times / grid.step)
-        bad = (k <= 0) | (k >= grid.count - 1)
-        bad[1:] |= (k[1:] == k[:-1]) & (walk[1:] == walk[:-1])
-        redraw = sorted({redraw[j] for j in walk[bad].tolist()})
-        if not redraw:
-            break
-        if attempt == 64:
-            raise WalkSnapError(
-                "could not sample a collision-free walk; grid too coarse")
-        for i in redraw:
-            draws[i] = walk_draws(cfg, mix64(seeds[i], attempt))
-    counts, walk, times = _sorted_jumps(draws, cfg.horizon)
-    snapped = np.rint(times / grid.step) * grid.step
-    # forward sites: start, then start plus the running sum of the steps,
-    # with segment rows first_i + 1 + m for jump m of walk i
-    steps = np.zeros((len(times) + len(seeds), cfg.dim), dtype=np.intp)
-    none = np.zeros(0, dtype=np.intp)
-    axes = np.concatenate([none] + [a for _, a, _ in draws])
-    bits = np.concatenate([none] + [b for _, _, b in draws])
-    steps[np.arange(len(times)) + walk + 1, axes] = bits * 2 - 1
-    position = np.cumsum(steps, axis=0)
-    first = np.cumsum(counts + 1) - counts - 1
-    sites = (position - np.repeat(position[first], counts + 1, axis=0)
-             + np.array(cfg.start, dtype=np.intp))
-    return WalkBatch._from_arrays(counts, snapped, sites,
-                                  np.full(len(seeds), cfg.horizon), grid)
+    counts, times, sites = walk_block(cfg, np.random.default_rng(seed), n)
+    return WalkBatch._from_arrays(counts, times, sites,
+                                  np.full(n, cfg.horizon), grid)
 
 
 def exp_weights(exponents: np.ndarray) -> np.ndarray:
@@ -292,23 +248,22 @@ def exp_weights(exponents: np.ndarray) -> np.ndarray:
     return np.array([math.exp(x) for x in exponents.tolist()], dtype=float)
 
 
-# Walks per WalkBatch inside a block.  It caps the walk arrays alive at
-# once; every exponent is independent of it.
+# Walks per block.  Block b of an estimate draws its walks from the
+# stream mix64(seed, b), so this constant is part of the determinism
+# contract: changing it changes every estimate.
 _BATCH_WALKS = 512
 
 
 def _weights_block(args) -> np.ndarray:
-    (cfg, ic, field, mode, epsilon, seed, lo, hi) = args
+    (cfg, ic, field, mode, epsilon, seed, n_walks, first, stop) = args
     evaluator = GridFunctionalEvaluator(field, epsilon)
-    out = np.empty(hi - lo)
-    for start in range(lo, hi, _BATCH_WALKS):
-        stop = min(start + _BATCH_WALKS, hi)
-        batch = sample_walk_batch(cfg, field.grid,
-                                  range(seed + start, seed + stop))
+    out = []
+    for b in range(first, stop):
+        n = min(_BATCH_WALKS, n_walks - b * _BATCH_WALKS)
+        batch = sample_walk_batch(cfg, field.grid, mix64(seed, b), n)
         weights = exp_weights(evaluator.exponents(batch, mode))
-        out[start - lo:stop - lo] = weights * [
-            ic(site) for site in batch.terminal.tolist()]
-    return out
+        out.append(weights * [ic(site) for site in batch.terminal.tolist()])
+    return np.concatenate(out)
 
 
 def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
@@ -317,17 +272,20 @@ def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
     """Walk-average of FK weights for one fixed noise realization.
 
     The rough functional when epsilon is None, else the mollified one.
-    Walk i uses seed seed+i and the reduction runs in index order, so the
-    result is bitwise identical for any worker count.
+    The walks come in blocks of _BATCH_WALKS, block b drawn by
+    sample_walk_batch from the stream mix64(seed, b); workers take whole
+    blocks and the reduction runs in walk order, so the result depends
+    on (seed, n_walks) only and is bitwise identical for any worker count.
     """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
     mode = "rough" if epsilon is None else "smooth"
-    n_blocks = max(workers, 1)
-    bounds = np.linspace(0, n_walks, n_blocks + 1).astype(int)
-    jobs = [(cfg, ic, field, mode, epsilon, seed, int(lo), int(hi))
+    n_blocks = -(-n_walks // _BATCH_WALKS)
+    n_jobs = min(max(workers, 1), n_blocks)
+    bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
+    jobs = [(cfg, ic, field, mode, epsilon, seed, n_walks, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if workers > 1 and len(jobs) > 1:
+    if len(jobs) > 1:
         # len(jobs) <= workers; a pool starts all its processes at once
         with ProcessPoolExecutor(
                 max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:

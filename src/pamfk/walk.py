@@ -95,32 +95,48 @@ class RoughStats:
             raise ValueError("K <= R violated")
 
 
-def walk_draws(cfg: WalkConfig, seed: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random numbers of one walk, the single definition of its law.
+def _poisson_clocks(rng: np.random.Generator, rate: float, horizon: float,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts, clock of each jump and sorted jump times of n Poisson clocks."""
+    counts = rng.poisson(rate * horizon, size=n)
+    u = rng.random(int(counts.sum()))
+    clock = np.repeat(np.arange(n), counts)
+    return counts, clock, u[np.lexsort((u, clock))] * horizon
 
-    A Poisson(kappa * horizon) jump count n, then n uniforms on [0, 1)
-    (unsorted; sorted and scaled by horizon they are the jump times),
-    n jump axes in [0, dim) and n sign bits (0 for -1, 1 for +1), drawn
-    in that order from default_rng(seed).
+
+def walk_block(cfg: WalkConfig, rng: np.random.Generator, n: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n rate-kappa walks on [0, horizon] from rng, the single definition
+    of the walk law.
+
+    Draws n Poisson(kappa * horizon) jump counts, then all the uniforms
+    on [0, 1) (sorted within a walk and scaled by horizon they are its
+    jump times), all the jump axes in [0, dim) and all the sign bits (0
+    for -1, 1 for +1), in that order.  Returns (counts, times, sites):
+    walk i has counts[i] ascending jump times in the flat times and
+    counts[i] + 1 forward sites, one (dim,) row per segment, in sites.
     """
-    rng = np.random.default_rng(seed)
-    n = rng.poisson(cfg.kappa * cfg.horizon)
-    return (rng.random(n), rng.integers(0, cfg.dim, size=n),
-            rng.integers(0, 2, size=n))
+    counts, walk, times = _poisson_clocks(rng, cfg.kappa, cfg.horizon, n)
+    total = len(times)
+    axes = rng.integers(0, cfg.dim, size=total)
+    bits = rng.integers(0, 2, size=total)
+    # start, then start plus the running sum of the steps, with segment
+    # rows first_i + 1 + m for jump m of walk i
+    steps = np.zeros((total + n, cfg.dim), dtype=np.intp)
+    steps[np.arange(total) + walk + 1, axes] = bits * 2 - 1
+    position = np.cumsum(steps, axis=0)
+    first = np.cumsum(counts + 1) - counts - 1
+    sites = (position - np.repeat(position[first], counts + 1, axis=0)
+             + np.array(cfg.start, dtype=np.intp))
+    return counts, times, sites
 
 
 def sample_walk(cfg: WalkConfig, seed: int) -> WalkPath:
-    """One rate-kappa walk on [0, horizon]; deterministic given seed."""
-    u, axes, bits = walk_draws(cfg, seed)
-    times = np.sort(u) * cfg.horizon
-    signs = bits * 2 - 1
-    sites = [cfg.start]
-    pos = list(cfg.start)
-    for axis, sign in zip(axes, signs):
-        pos[axis] += int(sign)
-        sites.append(tuple(pos))
-    return WalkPath(cfg.horizon, tuple(float(t) for t in times), tuple(sites))
+    """One rate-kappa walk on [0, horizon]: the one-walk block of
+    default_rng(seed)."""
+    _, times, sites = walk_block(cfg, np.random.default_rng(seed), 1)
+    return WalkPath(cfg.horizon, tuple(times.tolist()),
+                    tuple(map(tuple, sites.tolist())))
 
 
 def reverse_view(p: WalkPath) -> WalkPath:
@@ -200,10 +216,6 @@ def sample_poisson_jump_batch(rate: float, horizon: float, n_paths: int,
     Returns (jump_counts, flat_times) in the layout rough_stats_batch
     expects.
     """
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(rate * horizon, size=n_paths)
-    total = int(counts.sum())
-    u = rng.random(total)
-    path_id = np.repeat(np.arange(n_paths), counts)
-    order = np.lexsort((u, path_id))
-    return counts, u[order] * horizon
+    counts, _, times = _poisson_clocks(np.random.default_rng(seed), rate,
+                                       horizon, n_paths)
+    return counts, times

@@ -353,14 +353,6 @@ class TestNumericalFailures:
                              "--out", str(tmp_path / "o")], capsys,
                             "failed to converge")
 
-    def test_walk_snap_error(self, tmp_path, capsys):
-        # one interior grid point cannot hold the ~50 jumps of a rate-50 walk
-        cfg = write_config(tmp_path, hurst=0.5, step=0.5, horizon=1.0,
-                           kappa=50.0, n_walks=10, mode="rough")
-        self._assert_exit_1(["solve", "--config", cfg,
-                             "--out", str(tmp_path / "o")], capsys,
-                            "collision-free")
-
     def test_ueps_weight_overflow(self, tmp_path, capsys):
         # W(1000) at H = 0.95 has sd ~708, so walks that never jump
         # (kappa 1e-6) overflow exp at the first few outer samples

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pamfk._seeds import mix64, site_seed
-from pamfk.experiments import (EXPERIMENTS, RateFit, SweepSpec, _ueps_grid,
+from pamfk.experiments import (EXPERIMENTS, RateFit, SweepSpec,
                                fit_loglog, fixed_jump_path,
                                run_fk_pde_crosscheck, run_kernel_sweep,
                                run_rate_sweep, run_rough_tail,
                                run_ueps_convergence, write_report)
-from pamfk.fk import sample_walk_snapped
-from pamfk.walk import WalkConfig
+from pamfk.walk import WalkConfig, walk_block
 
 
 def test_sweep_spec_validation():
@@ -96,13 +95,11 @@ def test_ueps_outer_sample_draws_each_touched_site_once(fbm_draws):
     spec = SweepSpec(hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
                      n_samples=100, n_inner=5, master_seed=4)
     run_ueps_convergence(spec)
-    grid = _ueps_grid(spec)
     cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
     expected = []
     for k in range(spec.n_samples):
-        sites = {site for j in range(spec.n_inner)
-                 for site in sample_walk_snapped(
-                     cfg, grid, mix64(spec.master_seed, 13, k, j)).sites}
+        rng = np.random.default_rng(mix64(spec.master_seed, 13, k))
+        sites = set(map(tuple, walk_block(cfg, rng, spec.n_inner)[2].tolist()))
         field_seed = mix64(spec.master_seed, 11, k)
         expected += [site_seed(field_seed, site) for site in sites]
     assert sorted(fbm_draws) == sorted(expected)

@@ -11,13 +11,27 @@ from pamfk.fbm import (EpsilonDerivative, HurstField, HurstParameter,
 import pamfk.fk
 from pamfk.experiments import SweepSpec, run_ueps_convergence
 from pamfk.fk import (ClampError, GridFunctionalEvaluator, InitialCondition,
-                      WalkBatch, WalkSnapError, annealed_mean_rough_oracle,
+                      WalkBatch, annealed_mean_rough_oracle,
                       estimate_annealed_moment, estimate_quenched,
                       rough_functional_exact, sample_walk_batch,
                       sample_walk_snapped)
 from pamfk.kernels import path_increment_variance, prop41_variance
-from pamfk.walk import WalkConfig, WalkPath, reverse_view, sample_walk
+from pamfk.walk import (WalkConfig, WalkPath, reverse_view, sample_walk,
+                        walk_block)
 from stub_fields import LinearField
+
+
+def block_paths(cfg, seed, n):
+    """The walks of walk_block(cfg, default_rng(seed), n), split by a
+    loop into WalkPaths."""
+    counts, times, sites = walk_block(cfg, np.random.default_rng(seed), n)
+    paths, t0 = [], 0
+    for i, count in enumerate(counts.tolist()):
+        paths.append(WalkPath(
+            cfg.horizon, tuple(times[t0:t0 + count].tolist()),
+            tuple(map(tuple, sites[t0 + i:t0 + i + count + 1].tolist()))))
+        t0 += count
+    return paths
 
 
 class TestInitialCondition:
@@ -227,9 +241,7 @@ class TestWalkBatch:
     GRID = TimeGrid(EPS / 8, 1.0, pad=EPS)
 
     def walks(self):
-        cfg = WalkConfig(1, 3.0, 1.0)
-        paths = [sample_walk_snapped(cfg, self.GRID, mix64(5, i))
-                 for i in range(200)]
+        paths = block_paths(WalkConfig(1, 3.0, 1.0), 5, 200)
         paths.append(WalkPath(1.0, (), ((0,),)))
         paths.append(WalkPath(1.0, (0.25, 0.5, 0.75),
                               ((0,), (-1,), (-2,), (-1,))))
@@ -300,18 +312,18 @@ class TestSnappedWalks:
     def test_too_coarse_grid_raises_named_error(self):
         # one interior grid point cannot hold the ~50 jumps of a rate-50 walk
         g = TimeGrid(0.5, 1.0)
-        with pytest.raises(WalkSnapError, match="grid too coarse"):
+        with pytest.raises(RuntimeError, match="grid too coarse"):
             sample_walk_snapped(WalkConfig(1, 50.0, 1.0), g, 0)
-        assert issubclass(WalkSnapError, RuntimeError)
 
 
 class TestWalkBatchSampler:
-    """sample_walk_batch against its one-walk reference, array for array."""
+    """sample_walk_batch against the same block split into WalkPaths."""
 
     CASES = {
         "d1_readme": (WalkConfig(1, 1.0, 1.0), TimeGrid(0.0125, 1.0, 0.1)),
         "d2_start": (WalkConfig(2, 1.0, 1.0, (1, -2)),
                      TimeGrid(0.0125, 1.0, 0.1)),
+        # rate 6 on 40 grid steps: snapped jumps often collide
         "redraws": (WalkConfig(1, 6.0, 1.0), TimeGrid(0.025, 1.0)),
     }
 
@@ -326,46 +338,29 @@ class TestWalkBatchSampler:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_one_walk_reference(self, case):
         cfg, grid = self.CASES[case]
-        seeds = [mix64(21, i) for i in range(1000)]
-        paths = [sample_walk_snapped(cfg, grid, s) for s in seeds]
-        self.assert_same(sample_walk_batch(cfg, grid, seeds),
-                         WalkBatch(paths, grid))
+        batch = sample_walk_batch(cfg, grid, 21, 1000)
+        paths = block_paths(cfg, 21, 1000)
+        self.assert_same(batch, WalkBatch(paths, grid))
         assert any(p.jump_count == 0 for p in paths)
         if cfg.start != (0,) * cfg.dim:
             assert all(p.sites[0] == cfg.start for p in paths)
-
-    def test_redraws_only_rejected_walks(self, monkeypatch):
-        cfg, grid = self.CASES["redraws"]
-        seeds = list(range(300))
-        draws = []
-        draw = pamfk.fk.walk_draws
-
-        def counted(cfg, seed):
-            draws.append(seed)
-            return draw(cfg, seed)
-
-        monkeypatch.setattr(pamfk.fk, "walk_draws", counted)
-        batch = sample_walk_batch(cfg, grid, seeds)
-        assert draws[:len(seeds)] == seeds
-        assert len(draws) > len(seeds)  # at least one first draw rejected
-        monkeypatch.undo()
-        self.assert_same(batch, WalkBatch(
-            [sample_walk_snapped(cfg, grid, s) for s in seeds], grid))
+        if case == "redraws":
+            # nothing is redrawn: a snapped collision or end-point jump
+            # stays in the batch as a zero-length segment
+            counts = np.array([p.jump_count for p in paths])
+            live = np.arange(batch.lo.shape[1]) <= counts[:, None]
+            assert np.any(live & (batch.lo == batch.hi))
 
     def test_empty_seed_list(self):
+        # a block of n = 0 walks
         cfg, grid = self.CASES["d2_start"]
-        batch = sample_walk_batch(cfg, grid, [])
+        batch = sample_walk_batch(cfg, grid, 0, 0)
         assert len(batch) == 0 and batch.sites == []
         assert batch.lo.shape == batch.hi.shape == batch.row.shape == (0, 1)
         assert batch.terminal.shape == (0, 2)
         field = HurstField(HurstParameter(0.5), grid, 1)
         assert GridFunctionalEvaluator(field).exponents(
             batch, "rough").shape == (0,)
-
-    def test_too_coarse_grid_raises_named_error(self):
-        g = TimeGrid(0.5, 1.0)
-        with pytest.raises(WalkSnapError, match="grid too coarse"):
-            sample_walk_batch(WalkConfig(1, 50.0, 1.0), g, [0, 1])
 
 
 class TestNoWalkPathInHotLoops:
@@ -417,15 +412,17 @@ class TestQuenchedEstimator:
                               n_walks=n_walks)
 
     def test_worker_count_invariance(self):
+        # 1300 walks are three blocks, the last one partial
         g = TimeGrid(0.02, 1.0, pad=0.08)
         f = HurstField(HurstParameter(0.6), g, 12)
         cfg = WalkConfig(1, 1.0, 1.0)
-        ic = InitialCondition.constant()
-        kw = dict(epsilon=0.08, n_walks=64, seed=5)
+        ic = InitialCondition.indicator((0,))
+        kw = dict(epsilon=0.08, n_walks=1300, seed=5)
         serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
-        parallel = estimate_quenched(cfg, ic, f, workers=3, **kw)
-        assert serial.mean == parallel.mean
-        assert serial.stderr == parallel.stderr
+        for workers in (2, 3):
+            parallel = estimate_quenched(cfg, ic, f, workers=workers, **kw)
+            assert parallel.mean == serial.mean
+            assert parallel.stderr == serial.stderr
 
     def test_pool_capped_at_blocks_and_cpus(self, monkeypatch):
         started = []
@@ -451,7 +448,10 @@ class TestQuenchedEstimator:
         f = HurstField(HurstParameter(0.6), g, 12)
         cfg = WalkConfig(1, 1.0, 1.0)
         ic = InitialCondition.constant()
-        for workers, n_walks, cap in ((500, 64, 3), (500, 2, 2), (2, 64, 2)):
+        # workers take whole 512-walk blocks: 5 blocks hit the cpu cap,
+        # 2 blocks the block cap and 2 workers the worker cap
+        for workers, n_walks, cap in ((500, 5 * 512, 3), (500, 2 * 512, 2),
+                                      (2, 5 * 512, 2)):
             kw = dict(epsilon=0.08, n_walks=n_walks, seed=5)
             pooled = estimate_quenched(cfg, ic, f, workers=workers, **kw)
             assert started.pop() == cap
@@ -466,6 +466,15 @@ class TestQuenchedEstimator:
         ic = InitialCondition.constant()
         with pytest.raises(ClampError, match="^16 exponent"):
             estimate_quenched(cfg, ic, f, epsilon=0.08, n_walks=16, seed=0)
+
+    def test_zero_noise_return_probability_is_unbiased(self):
+        # P(X(1) = 0) = e^-1 I_0(1) for the rate-1 walk on Z; a law that
+        # conditions on the snapped jump times misses it at this size
+        g = TimeGrid(0.0125, 1.0, pad=0.1)
+        est = estimate_quenched(WalkConfig(1, 1.0, 1.0),
+                                InitialCondition.indicator((0,)),
+                                ZeroField(g), n_walks=200_000, seed=0)
+        assert abs(est.mean - math.exp(-1.0) * np.i0(1.0)) <= 3 * est.stderr
 
     def test_indicator_zero_noise_matches_return_probability(self):
         # P(X(1) = 0) for the rate-1 lattice walk via an independent MC

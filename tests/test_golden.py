@@ -1,12 +1,12 @@
 """Golden regression hashes for the Monte Carlo hot paths.
 
-The first four digests are the sha256 of outputs recorded with the
-per-walk scalar evaluator, before walk blocks were evaluated by batch
-gathers.  The validate digest was recorded before the CLI dispatchers,
-the CSV writers and the segment-pair loops were merged.  The kernels
-digest pins the closed forms and the exact mode; it was recorded before
-adaptive_simpson started to bisect every piece MIN_DEPTH times, a
-deliberate change of the quadrature oracle's values that the
+The ueps_rows, quenched, solve_estimates, solve_solution and validate
+digests were recorded when FK walks became rejection-free 512-walk block
+streams, because redrawing walks whose snapped jumps collided biased the
+walk law, and when fGn moved to irfft on the Hermitian half spectrum.
+The kernels digest pins the closed forms and the exact mode; it was
+recorded before adaptive_simpson started to bisect every piece MIN_DEPTH
+times, a deliberate change of the quadrature oracle's values that the
 kernels_quad digest pins from then on.
 Any optimisation or refactor of the field, walk, kernel, evaluator or
 CLI layers must reproduce these bytes exactly: the estimators promise
@@ -32,15 +32,15 @@ from pamfk.walk import WalkConfig, sample_walk
 
 GOLDEN = {
     "ueps_rows":
-        "f5ccb6c9479fb7214dd8f4d4300061e6004db43728fbc84f9f21e707cb1e68b0",
+        "25c66f05d14e17bb8bd22fd5f44742f5f4ccdc6d0e9d8e0516af1c9faace50d1",
     "quenched":
-        "60d5fec501e86e72ab909957ea88178ed2e36896145a0af7e922770c138e617d",
+        "64ad708ba65246ddf89510775dcbee0065ff09d0f1080d91d3b9422b569f2b06",
     "solve_estimates":
-        "f8eb993741c2e6bedf8c9ec12f76dbb815f1107457a0a5d9012a81256f5267ed",
+        "d8d7b804591128e246e85f1d586fdf4ac7437eaf61f0a0218a5f33865557fb7e",
     "solve_solution":
-        "64ed4aeef793df2f2932b7cce6115d9d2073dfcc8f998b7f9d226b9e51da0d2c",
+        "37ab9671cdfc357574e63ca85d8cbf77c3790d3ed065b1902e9c0920c295836e",
     "validate":
-        "81c65c263532c1be834af13cd16f1972b63fb37f4ba450a60d4c2ad0cdc39473",
+        "639ca61a75510979c097fefea0074afd5caa2222b5dba8d996e0e513739973d7",
     "kernels":
         "06801d89c752feb9821f519a84b0bcfa1ea7bd852c54af626e9e3637d1c4b084",
     "kernels_quad":
