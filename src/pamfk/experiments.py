@@ -223,17 +223,22 @@ def run_rough_tail(spec: SweepSpec, deltas=(0.1, 0.05, 0.025)
                          "ratio": ratios[n], "c_hat": c_hat,
                          "p_l_ge_ndelta": tail_l[n] if n < len(tail_l) else 0.0,
                          "p_k_ge_n": tail_k[n] if n < len(tail_k) else 0.0})
-    ref = math.exp(np.mean(np.log([c for c in c_hats if c > 0])))
-    stable = all(0.5 * ref <= c <= 1.5 * ref for c in c_hats)
-    passed = stable and invariants_ok
+    criterion = ("tail ratios P(R>=n+1)/P(R>=n) bounded by a fitted "
+                 "C_hat*delta, C_hat stable within +/-50% across delta, "
+                 "and L < R*delta, K <= R on every path")
+    positive = [c for c in c_hats if c > 0]
+    if positive:
+        ref = math.exp(np.mean(np.log(positive)))
+        stable = all(0.5 * ref <= c <= 1.5 * ref for c in c_hats)
+    else:
+        stable = False
+        criterion += ("; no sampled path has a short gap at any delta, so "
+                      "C_hat cannot be fitted")
     return ExperimentReport(
         "rough_tail", rows,
         ["delta", "n", "p_r_ge_n", "ratio", "c_hat", "p_l_ge_ndelta",
          "p_k_ge_n"],
-        passed,
-        "tail ratios P(R>=n+1)/P(R>=n) bounded by a fitted C_hat*delta, "
-        "C_hat stable within +/-50% across delta, and L < R*delta, "
-        "K <= R on every path",
+        stable and invariants_ok, criterion,
         {"c_hats": dict(zip(deltas, c_hats))})
 
 

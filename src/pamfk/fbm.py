@@ -30,17 +30,19 @@ class ExactModeCapError(ValueError):
 
 @dataclass(frozen=True)
 class HurstParameter:
-    """Hurst exponent, restricted to the open interval (0, 1)."""
+    """Hurst exponent, restricted to the open interval (0, 1).
+
+    two_h = 2.0 * h is stored once at construction, because the kernels
+    read it in their innermost loops.  It is not a dataclass field, so
+    equality, hashing and repr see h alone.
+    """
 
     h: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.h < 1.0):
             raise ValueError(f"H must be in (0,1), got {self.h}")
-
-    @property
-    def two_h(self) -> float:
-        return 2.0 * self.h
+        object.__setattr__(self, "two_h", 2.0 * self.h)
 
 
 def covariance(h: HurstParameter, t: float, s: float) -> float:

@@ -9,10 +9,17 @@ between the mollified integral and the rough increment sum.
 All integrals of |.|^{2H}-type kernels have elementary antiderivatives;
 closed forms are the default evaluation path and adaptive Simpson
 quadrature is kept as an independent oracle, selectable per call.
+
+For the path variances the two methods share only _pair_sum, the loop
+over same-site segment pairs.  The closed pair terms are closures that
+compute their constants once per call; the quadrature terms keep their
+own scalar helpers.  A fault in the closed pair terms therefore cannot
+also reach the oracle that is meant to catch it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,20 +242,44 @@ def inner_gX_ge(inp: InnerProductInput) -> float:
     return total
 
 
-def _aa_second_antiderivative(h: HurstParameter, eps: float,
-                              gamma: float) -> float:
-    """Second antiderivative of the dW_eps autocovariance kernel."""
-    return (_g2(h, gamma + 2 * eps) + _g2(h, gamma - 2 * eps)
-            - 2 * _g2(h, gamma)) / (8 * eps ** 2)
+def _closed_terms(h: HurstParameter, eps: float):
+    """The closed-form aa(a, b, c, d) and ab(a, b, c, d) pair terms.
 
+    They evaluate the same double integrals as _aa_quad and _ab_quad
+    through the antiderivatives _g2 and _g of |s|^{2H}, written out with
+    2H, 2H + 1, 2H + 2, their product and the epsilon factors computed
+    once per call instead of once per antiderivative.
+    """
+    p1 = h.two_h + 1.0
+    p2 = h.two_h + 2.0
+    p12 = p1 * p2
+    two_eps = 2 * eps
+    aa_den = 8 * eps ** 2
+    ab_den = 4 * eps
 
-def _aa_term(h: HurstParameter, eps: float, a: float, b: float,
-             c: float, d: float, method: str) -> float:
-    """E[int_a^b dW_eps ds * int_c^d dW_eps ds] for one fBm."""
-    if method == "closed":
-        k2 = lambda gamma: _aa_second_antiderivative(h, eps, gamma)
+    def k2(gamma: float) -> float:
+        # second antiderivative of the dW_eps autocovariance kernel
+        return (abs(gamma + two_eps) ** p2 / p12
+                + abs(gamma - two_eps) ** p2 / p12
+                - 2 * (abs(gamma) ** p2 / p12)) / aa_den
+
+    def g(s: float) -> float:
+        return (1.0 if s >= 0 else -1.0) * abs(s) ** p1 / p1
+
+    def aa(a: float, b: float, c: float, d: float) -> float:
         return k2(b - c) - k2(b - d) - k2(a - c) + k2(a - d)
 
+    def ab(a: float, b: float, c: float, d: float) -> float:
+        return (g(b - c + eps) - g(a - c + eps)
+                + g(b - d - eps) - g(a - d - eps)
+                - g(b - d + eps) + g(a - d + eps)
+                - g(b - c - eps) + g(a - c - eps)) / ab_den
+    return aa, ab
+
+
+def _aa_quad(h: HurstParameter, eps: float, a: float, b: float,
+             c: float, d: float) -> float:
+    """E[int_a^b dW_eps ds * int_c^d dW_eps ds] for one fBm, by quadrature."""
     def outer(s: float) -> float:
         return (f_eps_antiderivative(s - c, h, eps)
                 - f_eps_antiderivative(s - d, h, eps)) / 2.0
@@ -256,20 +287,25 @@ def _aa_term(h: HurstParameter, eps: float, a: float, b: float,
     return adaptive_simpson(outer, a, b, tol=QUAD_TOL, kinks=kinks)
 
 
-def _ab_term(h: HurstParameter, eps: float, a: float, b: float,
-             c: float, d: float, method: str) -> float:
-    """E[int_a^b dW_eps ds * (W(d) - W(c))] for one fBm."""
-    if method == "closed":
-        g = lambda s: _g(h, s)
-        return (g(b - c + eps) - g(a - c + eps)
-                + g(b - d - eps) - g(a - d - eps)
-                - g(b - d + eps) + g(a - d + eps)
-                - g(b - c - eps) + g(a - c - eps)) / (4 * eps)
-
+def _ab_quad(h: HurstParameter, eps: float, a: float, b: float,
+             c: float, d: float) -> float:
+    """E[int_a^b dW_eps ds * (W(d) - W(c))] for one fBm, by quadrature."""
     def integrand(s: float) -> float:
         return increment_covariance(h, s + eps, s - eps, d, c) / (2 * eps)
     kinks = [x + off for x in (c, d) for off in (-eps, eps)]
     return adaptive_simpson(integrand, a, b, tol=QUAD_TOL, kinks=kinks)
+
+
+def _method_terms(h: HurstParameter, eps: float, method: str):
+    """The aa and ab pair terms of one evaluation method."""
+    if eps <= 0:
+        raise ValueError("epsilon must be > 0")
+    if method == "closed":
+        return _closed_terms(h, eps)
+    if method == "quad":
+        return (functools.partial(_aa_quad, h, eps),
+                functools.partial(_ab_quad, h, eps))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _pair_sum(path: WalkPath, term) -> float:
@@ -295,14 +331,11 @@ def prop41_variance(path: WalkPath, h: HurstParameter, epsilon: float,
     swaps the closed-form double integrals for adaptive quadrature and
     serves as the independent oracle.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    aa, ab = _method_terms(h, epsilon, method)
 
     def term(a: float, b: float, c: float, d: float) -> float:
-        aa = _aa_term(h, epsilon, a, b, c, d, method)
-        bb = increment_covariance(h, b, a, d, c)
-        ab = _ab_term(h, epsilon, a, b, c, d, method)
-        return aa + bb - 2.0 * ab
+        return (aa(a, b, c, d) + increment_covariance(h, b, a, d, c)
+                - 2.0 * ab(a, b, c, d))
     return _pair_sum(path, term)
 
 
@@ -315,8 +348,7 @@ def path_increment_variance(path: WalkPath, h: HurstParameter) -> float:
 def smooth_integral_variance(path: WalkPath, h: HurstParameter,
                              epsilon: float, method: str = "closed") -> float:
     """Variance of the mollified integral along the path (exact)."""
-    return _pair_sum(path, lambda a, b, c, d:
-                     _aa_term(h, epsilon, a, b, c, d, method))
+    return _pair_sum(path, _method_terms(h, epsilon, method)[0])
 
 
 def kernel_sweep_rows(hursts: Sequence[float], epsilons: Sequence[float],

@@ -99,9 +99,15 @@ def _poisson_clocks(rng: np.random.Generator, rate: float, horizon: float,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts, clock of each jump and sorted jump times of n Poisson clocks."""
     counts = rng.poisson(rate * horizon, size=n)
-    u = rng.random(int(counts.sum()))
     clock = np.repeat(np.arange(n), counts)
-    return counts, clock, u[np.lexsort((u, clock))] * horizon
+    # NumPy orders complex numbers by real part, then imaginary part, with
+    # exact comparisons, so one in-place sort of clock + i u puts each
+    # clock's uniforms in ascending order
+    key = np.empty(len(clock), dtype=np.complex128)
+    key.real = clock
+    key.imag = rng.random(len(clock))
+    key.sort()
+    return counts, clock, key.imag * horizon
 
 
 def walk_block(cfg: WalkConfig, rng: np.random.Generator, n: int

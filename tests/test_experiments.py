@@ -76,6 +76,17 @@ def test_rough_tail_small_scale():
     assert report.passed
 
 
+@pytest.mark.filterwarnings("error")
+def test_rough_tail_without_short_gaps_fails_by_name():
+    # at kappa 0.01 almost no path jumps twice, and none within 0.1
+    report = run_rough_tail(SweepSpec(kappa=0.01, n_samples=100))
+    assert not report.passed
+    assert "no sampled path has a short gap" in report.criterion
+    assert all(c == 0.0 for c in report.fits["c_hats"].values())
+    assert all(math.isfinite(v) for row in report.rows
+               for v in row.values())
+
+
 @pytest.mark.parametrize("deltas", [(0.0,), (-0.1, 0.05)])
 def test_rough_tail_rejects_non_positive_delta(deltas):
     with pytest.raises(ValueError, match="deltas must be > 0"):

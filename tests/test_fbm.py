@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +24,22 @@ def test_hurst_validation():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             HurstParameter(bad)
+
+
+@pytest.mark.parametrize("hv", [0.1, 0.25, 1 / 3, 0.5, 0.9])
+def test_hurst_two_h_survives_copies(hv):
+    h = HurstParameter(hv)
+    copies = (h, pickle.loads(pickle.dumps(h)), copy.deepcopy(h),
+              copy.copy(h), dataclasses.replace(h),
+              dataclasses.replace(HurstParameter(0.7), h=hv))
+    for c in copies:
+        assert c.two_h == 2.0 * hv
+        assert c == h and hash(c) == hash(h)
+        assert repr(c) == f"HurstParameter(h={hv!r})"
+    assert [f.name for f in dataclasses.fields(h)] == ["h"]
+    assert dataclasses.asdict(h) == {"h": hv}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.two_h = 1.0
 
 
 @given(hursts, times, times)

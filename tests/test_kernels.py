@@ -326,6 +326,25 @@ class TestProp41Variance:
             prop41_variance(WalkPath(1.0, (), ((0,),)),
                             HurstParameter(0.5), 0.0)
 
+    @pytest.mark.parametrize("path", [
+        WalkPath(1.0, (), ((0,),)),
+        WalkPath(1.0, (0.3, 0.7), ((0,), (1,), (0,)))])
+    @pytest.mark.parametrize("method", ["bogus", "Closed", "QUAD", ""])
+    def test_unknown_method_raises(self, path, method):
+        h = HurstParameter(0.5)
+        for variance in (prop41_variance, smooth_integral_variance):
+            with pytest.raises(ValueError, match="unknown method"):
+                variance(path, h, 0.125, method=method)
+
+    @pytest.mark.parametrize("eps", [-0.125, 0.0])
+    @pytest.mark.parametrize("method", ["closed", "quad"])
+    def test_non_positive_epsilon_raises(self, eps, method):
+        p = WalkPath(1.0, (0.3, 0.7), ((0,), (1,), (0,)))
+        h = HurstParameter(0.4)
+        for variance in (prop41_variance, smooth_integral_variance):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                variance(p, h, eps, method=method)
+
     def test_smooth_integral_variance_single_segment(self):
         h = HurstParameter(0.4)
         p = WalkPath(1.0, (), ((0,),))

@@ -7,7 +7,7 @@ from scipy import stats
 
 from pamfk.walk import (RoughStats, WalkConfig, WalkPath, reverse_view,
                         rough_stats, rough_stats_batch,
-                        sample_poisson_jump_batch, sample_walk)
+                        sample_poisson_jump_batch, sample_walk, walk_block)
 
 
 def test_config_validation():
@@ -171,3 +171,48 @@ class TestBatchStats:
             block = flat[lo:hi]
             assert np.all(np.diff(block) >= 0)
             assert np.all((block >= 0) & (block <= 1.5))
+
+
+def _lexsort_clocks(rng, rate, horizon, n):
+    """Reference draw of n Poisson clocks, sorted with np.lexsort."""
+    counts = rng.poisson(rate * horizon, size=n)
+    u = rng.random(int(counts.sum()))
+    clock = np.repeat(np.arange(n), counts)
+    return counts, u[np.lexsort((u, clock))] * horizon
+
+
+# rate * horizon 0.6 leaves about half the clocks empty; 37.5 puts dozens
+# of jumps on every clock
+@pytest.mark.parametrize("n", [0, 1, 512, 20000])
+@pytest.mark.parametrize("rate, horizon", [(0.4, 1.5), (25.0, 1.5)])
+def test_poisson_clocks_match_lexsort_reference(n, rate, horizon):
+    seed = 1000 + n
+    counts, flat = sample_poisson_jump_batch(rate, horizon, n, seed)
+    ref_counts, ref_flat = _lexsort_clocks(np.random.default_rng(seed),
+                                           rate, horizon, n)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(flat, ref_flat)
+    if n > 1 and rate < 1:
+        assert np.any(counts == 0)
+    if n > 1 and rate > 1:
+        assert counts.min() >= 10
+
+    cfg = WalkConfig(2, rate, horizon, start=(3, -1))
+    counts, times, sites = walk_block(cfg, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    ref_counts, ref_times = _lexsort_clocks(rng, rate, horizon, n)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(times, ref_times)
+    total = int(ref_counts.sum())
+    axes = rng.integers(0, 2, size=total)
+    bits = rng.integers(0, 2, size=total)
+    assert len(sites) == total + n
+    row = jump = 0
+    for count in ref_counts:
+        steps = np.zeros((count + 1, 2), dtype=int)
+        steps[np.arange(1, count + 1), axes[jump:jump + count]] = (
+            2 * bits[jump:jump + count] - 1)
+        expected = np.cumsum(steps, axis=0) + [3, -1]
+        assert np.array_equal(sites[row:row + count + 1], expected)
+        row += count + 1
+        jump += count
