@@ -45,9 +45,8 @@ _KNOWN_KEYS: dict[str, type] = {
     "dim": int, "sites": list, "master_seed": int, "n_walks": int,
     "n_samples": int, "n_inner": int, "n_realizations": int, "workers": int,
     "mode": str, "experiment": str, "jump_counts": list, "deltas": list,
-    "dt": float, "radius": int, "u0": str, "u0_value": float,
-    "u0_site": list, "noise": bool, "run_fk": bool, "run_pde": bool,
-    "out": str,
+    "radius": int, "u0": str, "u0_value": float, "u0_site": list,
+    "noise": bool, "run_fk": bool, "run_pde": bool, "out": str,
 }
 
 _DEFAULTS = {
@@ -80,7 +79,7 @@ class RunConfig:
                     f"config key {key!r} must be {want.__name__}")
             if want is list and not value:
                 raise ConfigError(f"config key {key!r} must not be empty")
-            if (key in ("epsilon", "horizon", "dt", "radius", "kappa")
+            if (key in ("epsilon", "horizon", "radius", "kappa")
                     and value <= 0):
                 raise ConfigError(f"config key {key!r} must be > 0")
             if key == "deltas" and not all(
@@ -274,11 +273,9 @@ def cmd_solve(cfg: RunConfig) -> int:
                   + ["eps", "n", "mean", "stderr", "seed", "clamps"],
                   rows, cfg.header_lines())
     if cfg.get("run_pde"):
-        cfg.require("epsilon")
         radius = cfg.get("radius", default_radius(kappa, horizon))
         domain = BoxDomain(wcfg.dim, radius)
-        dt = cfg.get("dt", min(grid.step, 0.25 / kappa))
-        scfg = SolverConfig(dt, kappa, grid, cfg.get("epsilon"))
+        scfg = SolverConfig(grid.step, kappa, grid, epsilon)
         sol = solve_mollified(ic, field, scfg, domain, wcfg.start)
         srows = [[horizon, *site, val] for site, val in sorted(sol.items())]
         write_csv(os.path.join(cfg.get("out"), "solution.csv"),

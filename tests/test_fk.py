@@ -510,6 +510,22 @@ class TestAnnealedEstimator:
         # positive here so the absolute value is exact
         assert abs(est.mean - oracle) < 4 * est.stderr + 0.02
 
+    def test_oracle_seeds_share_no_walks(self, monkeypatch):
+        seeds = []
+        draw = pamfk.fk.sample_walk
+
+        def recorded(cfg, seed):
+            seeds.append(seed)
+            return draw(cfg, seed)
+
+        monkeypatch.setattr(pamfk.fk, "sample_walk", recorded)
+        cfg, h = WalkConfig(1, 1.0, 1.0), HurstParameter(0.5)
+        annealed_mean_rough_oracle(cfg, h, n_walks=20, seed=0)
+        first = set(seeds)
+        seeds.clear()
+        annealed_mean_rough_oracle(cfg, h, n_walks=20, seed=1)
+        assert len(first) == 20 and first.isdisjoint(seeds)
+
     def test_brownian_annealed_mean_closed_form(self):
         # H=1/2: Var[rough] = t for every path, so E u = e^{t/2}
         h = HurstParameter(0.5)
