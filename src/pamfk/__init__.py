@@ -1,6 +1,6 @@
 """Monte Carlo toolkit for the lattice parabolic Anderson model driven by
 fractional Brownian noise: field samplers, walk statistics, covariance
-kernels, Feynman-Kac estimators, their exact-dual PDE solver, and the
+kernels, Feynman-Kac estimators, a mollified PDE cross-check, and the
 validation experiment campaigns."""
 
 __version__ = "0.1.0"

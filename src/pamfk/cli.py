@@ -45,8 +45,9 @@ _KNOWN_KEYS: dict[str, type] = {
     "dim": int, "sites": list, "master_seed": int, "n_walks": int,
     "n_samples": int, "n_inner": int, "n_realizations": int, "workers": int,
     "mode": str, "experiment": str, "jump_counts": list, "deltas": list,
-    "radius": int, "u0": str, "u0_value": float, "u0_site": list,
-    "noise": bool, "run_fk": bool, "run_pde": bool, "out": str,
+    "dt": float, "radius": int, "u0": str, "u0_value": float,
+    "u0_site": list, "noise": bool, "run_fk": bool, "run_pde": bool,
+    "out": str,
 }
 
 _DEFAULTS = {
@@ -79,7 +80,7 @@ class RunConfig:
                     f"config key {key!r} must be {want.__name__}")
             if want is list and not value:
                 raise ConfigError(f"config key {key!r} must not be empty")
-            if (key in ("epsilon", "horizon", "radius", "kappa")
+            if (key in ("epsilon", "horizon", "dt", "radius", "kappa")
                     and value <= 0):
                 raise ConfigError(f"config key {key!r} must be > 0")
             if key == "deltas" and not all(
@@ -247,6 +248,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     mode = cfg.get("mode")
     if mode not in ("rough", "smooth"):
         raise ConfigError(f"unknown mode {mode!r}; choose rough or smooth")
+    if mode == "rough" and cfg.get("run_pde"):
+        raise ConfigError("run_pde solves the smooth equation only")
     epsilon = cfg.require("epsilon") if mode == "smooth" else None
     hurst = _hurst(cfg)
     grid = _grid(cfg)
@@ -275,7 +278,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.get("run_pde"):
         radius = cfg.get("radius", default_radius(kappa, horizon))
         domain = BoxDomain(wcfg.dim, radius)
-        scfg = SolverConfig(grid.step, kappa, grid, epsilon)
+        dt = cfg.get("dt", min(grid.step, 0.25 / kappa))
+        scfg = SolverConfig(dt, kappa, grid, epsilon)
         sol = solve_mollified(ic, field, scfg, domain, wcfg.start)
         srows = [[horizon, *site, val] for site, val in sorted(sol.items())]
         write_csv(os.path.join(cfg.get("out"), "solution.csv"),

@@ -143,52 +143,44 @@ class WalkBatch:
         return total
 
 
-def exponent_table(field, sites: Sequence[Site],
-                   epsilon: float | None) -> np.ndarray:
-    """FK exponent table T[site, j] at the grid times j * step in [0, t]:
-    W if epsilon is None, else the cumulative trapezoid of dW_eps.  Walk
-    exponents gather its increments and the PDE solver kicks with them.
-    """
-    grid = field.grid
-    paths = field.paths_on_grid(sites)
-    if epsilon is None:
-        return paths[:, grid.zero_index:grid.zero_index + grid.count]
-    dw = EpsilonDerivative(grid, epsilon).grid_values(paths)
-    return np.concatenate(
-        [np.zeros((len(dw), 1)),
-         np.cumsum(0.5 * (dw[:, :-1] + dw[:, 1:]) * grid.step, axis=1)],
-        axis=1)
-
-
 class GridFunctionalEvaluator:
     """Evaluates rough and mollified FK exponents against one grid field.
 
     Jump times are snapped to the nearest grid point, which keeps both
     functionals on the same probability space.  A walk batch's exponents
-    are gathers from the exponent_table of the batch's sites.
+    are gathers from one table built from a single paths_on_grid read of
+    the batch's sites: W on [0, horizon] for the rough functional, the
+    cumulative trapezoid of dW_eps for the smooth one.
     """
 
     def __init__(self, field, epsilon: float | None = None) -> None:
         self.field = field
         self.grid: TimeGrid = field.grid
-        self.epsilon = epsilon
-        if epsilon is not None:
-            EpsilonDerivative(self.grid, epsilon)  # validates epsilon
-            if epsilon < 4.0 * self.grid.step - 1e-12:
-                raise ValueError(
-                    f"grid too coarse for epsilon={epsilon}: need step <= "
-                    f"eps/4, got step={self.grid.step}; refine the grid")
+        self._ed = (EpsilonDerivative(self.grid, epsilon)
+                    if epsilon is not None else None)
+        if epsilon is not None and epsilon < 4.0 * self.grid.step - 1e-12:
+            raise ValueError(
+                f"grid too coarse for epsilon={epsilon}: need step <= eps/4, "
+                f"got step={self.grid.step}; refine the grid")
+        self._zi = self.grid.zero_index
 
     def exponents(self, batch: WalkBatch, mode: str) -> np.ndarray:
         """Rough (W increment sum) or smooth (trapezoid integral of dW_eps)
         exponent of every walk in the batch, along its reversed path."""
-        if mode == "smooth" and self.epsilon is None:
+        if mode == "smooth" and self._ed is None:
             raise ValueError("evaluator built without epsilon")
         if not len(batch):
             return np.zeros(0)
-        return batch.gather(exponent_table(
-            self.field, batch.sites,
-            self.epsilon if mode == "smooth" else None))
+        paths = self.field.paths_on_grid(batch.sites)
+        if mode == "rough":
+            table = paths[:, self._zi:self._zi + self.grid.count]
+        else:
+            dw = self._ed.grid_values(paths)
+            table = np.concatenate(
+                [np.zeros((len(dw), 1)),
+                 np.cumsum(0.5 * (dw[:, :-1] + dw[:, 1:]) * self.grid.step,
+                           axis=1)], axis=1)
+        return batch.gather(table)
 
     def rough(self, path: WalkPath) -> float:
         """Sum of W increments over the time-reversed path's segments."""

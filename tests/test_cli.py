@@ -175,10 +175,11 @@ class TestConfigValidation:
         ("generate", {"hurst": 0.5, "step": 0.125, "horizon": 1.0,
                       "sites": []}, "sites"),
         ("solve", {**SMOOTH_PDE_CONFIG, "radius": 0}, "radius"),
+        ("solve", {**SMOOTH_PDE_CONFIG, "dt": 0.0}, "dt"),
         ("solve", {**SMOOTH_PDE_CONFIG, "u0": "indicator", "u0_site": []},
          "u0_site"),
     ], ids=["horizon", "hursts", "epsilons", "jump_counts", "deltas",
-            "sites", "radius", "u0_site"])
+            "sites", "radius", "dt", "u0_site"])
     def test_falsy_value_is_not_a_default(self, tmp_path, capsys, command,
                                           data, key):
         # a given zero or empty value must not fall back to the default
@@ -192,7 +193,9 @@ class TestConfigValidation:
         ({"mode": "weird"}, "unknown mode 'weird'"),
         ({"mode": "weird", "run_fk": False}, "unknown mode 'weird'"),
         ({"u0": "indicator", "u0_site": [0, 0]}, "'u0_site'"),
-    ], ids=["mode", "mode_no_fk", "u0_site_dim"])
+        ({"mode": "rough", "epsilon": 0.25, "run_pde": True},
+         "smooth equation only"),
+    ], ids=["mode", "mode_no_fk", "u0_site_dim", "rough_pde"])
     def test_solve_config_error_writes_nothing(self, tmp_path, capsys, data,
                                                text):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
@@ -255,20 +258,6 @@ class TestSolve:
         sol = read_data_rows(os.path.join(out, "solution.csv"))
         assert sol[0] == ["t", "x0", "u"]
         assert len(sol) == 1 + 11  # radius-5 box
-
-    def test_rough_mode_with_pde(self, tmp_path):
-        # no epsilon: the PDE solves the rough equation the FK side estimates
-        cfg = write_config(tmp_path, hurst=0.5, step=0.0125, horizon=1.0,
-                           kappa=1.0, mode="rough", n_walks=4000,
-                           master_seed=6, run_pde=True)
-        out = str(tmp_path / "out")
-        assert main(["solve", "--config", cfg, "--out", out]) == 0
-        head, est = read_data_rows(os.path.join(out, "estimates.csv"))
-        sol = read_data_rows(os.path.join(out, "solution.csv"))
-        u = next(float(row[2]) for row in sol[1:] if row[1] == "0")
-        mean = float(est[head.index("mean")])
-        stderr = float(est[head.index("stderr")])
-        assert abs(mean - u) <= 3 * stderr
 
 
 class TestKernelsCommand:

@@ -4,10 +4,6 @@ The ueps_rows, quenched, solve_estimates, solve_solution and validate
 digests were recorded when FK walks became rejection-free 512-walk block
 streams, because redrawing walks whose snapped jumps collided biased the
 walk law, and when fGn moved to irfft on the Hermitian half spectrum.
-The solve_solution and validate digests were recorded again when the
-explicit-Euler PDE gave way to the exact dual of the FK walk (the heat
-propagator of the box kicked by the FK exponent table); only the PDE
-values in solution.csv and fk_pde_crosscheck.csv moved.
 The kernels digest pins the closed forms and the exact mode; it was
 recorded before adaptive_simpson started to bisect every piece MIN_DEPTH
 times, a deliberate change of the quadrature oracle's values that the
@@ -42,9 +38,9 @@ GOLDEN = {
     "solve_estimates":
         "d8d7b804591128e246e85f1d586fdf4ac7437eaf61f0a0218a5f33865557fb7e",
     "solve_solution":
-        "d7d51e1317322ba29de88c63e1f2e28a1c9f3a830ea2bac90a47e1eb455ce877",
+        "37ab9671cdfc357574e63ca85d8cbf77c3790d3ed065b1902e9c0920c295836e",
     "validate":
-        "cb60472f8fe9c36076f8c91f2159a3a80b0638060c055993ec92ae245ae23781",
+        "639ca61a75510979c097fefea0074afd5caa2222b5dba8d996e0e513739973d7",
     "kernels":
         "06801d89c752feb9821f519a84b0bcfa1ea7bd852c54af626e9e3637d1c4b084",
     "kernels_quad":
