@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from ._seeds import mix64
 from .fbm import HurstField, HurstParameter, TimeGrid, ZeroField
-from .fk import ClampError, InitialCondition, estimate_quenched
+from .fk import (ClampError, InitialCondition, estimate_quenched,
+                 require_fine_grid)
 from .pde import BoxDomain, SolverConfig, default_radius, solve_mollified
 from .experiments import EXPERIMENTS, SweepSpec, write_csv, write_report
 from .quadrature import QuadratureError
@@ -86,8 +87,8 @@ class RunConfig:
             if key == "deltas" and not all(
                     type(d) in (int, float) and d > 0 for d in value):
                 raise ConfigError("config key 'deltas' must be > 0")
-            if (key in ("n_walks", "n_inner", "n_realizations", "workers")
-                    and value < 1):
+            if (key in ("n_walks", "n_samples", "n_inner", "n_realizations",
+                        "workers") and value < 1):
                 raise ConfigError(f"config key {key!r} must be >= 1")
             data[key] = value
         self.data = {**_DEFAULTS, **data}
@@ -253,6 +254,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     epsilon = cfg.require("epsilon") if mode == "smooth" else None
     hurst = _hurst(cfg)
     grid = _grid(cfg)
+    require_fine_grid(grid, epsilon)  # for the FK and the PDE side alike
     kappa, horizon = cfg.require("kappa", "horizon")
     wcfg = WalkConfig(cfg.get("dim"), kappa, horizon)
     ic = _initial_condition(cfg)
@@ -264,8 +266,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.get("run_fk"):
         est = estimate_quenched(wcfg, ic, field, epsilon=epsilon,
                                 n_walks=cfg.get("n_walks"),
-                                seed=cfg.get("master_seed"),
-                                workers=cfg.get("workers"))
+                                seed=cfg.get("master_seed"))
         # clamps is always 0 (a clamp raises ClampError); perfbench reads it
         rows.append([est.mode, hurst.h, kappa, wcfg.dim, horizon,
                      *wcfg.start, epsilon if epsilon is not None else "NA",
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a flat JSON config")
     parser.add_argument("--seed", type=int, help="override master_seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker count")
+    parser.add_argument("--workers", type=int, help="FK/PDE check processes")
     return parser
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as _dc_field
+from functools import partial
 
 import numpy as np
 
@@ -242,41 +244,51 @@ def run_rough_tail(spec: SweepSpec, deltas=(0.1, 0.05, 0.025)
         {"c_hats": dict(zip(deltas, c_hats))})
 
 
+def _crosscheck_row(spec: SweepSpec, epsilon: float, n_walks: int,
+                    job: tuple[float, int]) -> dict:
+    """One (H, realization) row of run_fk_pde_crosscheck.  It builds its
+    own field, so only the spec and two numbers cross a process boundary."""
+    hv, real = job
+    grid = TimeGrid(epsilon / 8.0, spec.horizon, pad=epsilon)
+    cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
+    center = cfg.start
+    ic = InitialCondition.indicator(center)
+    domain = BoxDomain(spec.dim, default_radius(spec.kappa, spec.horizon))
+    fld = HurstField(HurstParameter(hv), grid,
+                     mix64(spec.master_seed, 19, real))
+    est = estimate_quenched(cfg, ic, fld, epsilon=epsilon, n_walks=n_walks,
+                            seed=mix64(spec.master_seed, 23, real))
+    scfg = SolverConfig(min(grid.step, 0.25 / spec.kappa), spec.kappa, grid,
+                        epsilon)
+    pde_val = solve_mollified(ic, fld, scfg, domain, center)[center]
+    rich = richardson_check(ic, fld, scfg, domain, center)
+    tol = 3.0 * est.stderr + rich
+    return {"H": hv, "realization": real, "fk_mean": est.mean,
+            "fk_stderr": est.stderr, "pde_value": pde_val,
+            "richardson": rich, "tolerance": tol,
+            "pass": abs(est.mean - pde_val) <= tol}
+
+
 def run_fk_pde_crosscheck(spec: SweepSpec, epsilon: float = 0.1,
                           n_walks: int = 4000) -> ExperimentReport:
     """Quenched smooth FK estimate against the mollified PDE solution.
 
     Both sides read the same fixed noise field; passes iff at least 95%
     of (realization, H) checks agree within 3*stderr plus the Richardson
-    time-discretization bound.
+    time-discretization bound.  The checks are independent jobs: with
+    spec.workers > 1 a process pool runs them, and pool.map returns the
+    rows in job order, so the report is the same for any worker count.
     """
-    step = epsilon / 8.0
-    grid = TimeGrid(step, spec.horizon, pad=epsilon)
-    cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
-    center = cfg.start
-    ic = InitialCondition.indicator(center)
-    domain = BoxDomain(spec.dim, default_radius(spec.kappa, spec.horizon))
-    dt = min(step, 0.25 / spec.kappa)
-    rows = []
-    checks = []
-    for hv in spec.hursts:
-        h = HurstParameter(hv)
-        for real in range(spec.n_realizations):
-            fld = HurstField(h, grid, mix64(spec.master_seed, 19, real))
-            est = estimate_quenched(cfg, ic, fld, epsilon=epsilon,
-                                    n_walks=n_walks,
-                                    seed=mix64(spec.master_seed, 23, real),
-                                    workers=spec.workers)
-            scfg = SolverConfig(dt, spec.kappa, grid, epsilon)
-            pde_val = solve_mollified(ic, fld, scfg, domain, center)[center]
-            rich = richardson_check(ic, fld, scfg, domain, center)
-            tol = 3.0 * est.stderr + rich
-            ok = abs(est.mean - pde_val) <= tol
-            checks.append(ok)
-            rows.append({"H": hv, "realization": real, "fk_mean": est.mean,
-                         "fk_stderr": est.stderr, "pde_value": pde_val,
-                         "richardson": rich, "tolerance": tol, "pass": ok})
-    pass_rate = sum(checks) / len(checks)
+    jobs = [(hv, real) for hv in spec.hursts
+            for real in range(spec.n_realizations)]
+    row = partial(_crosscheck_row, spec, epsilon, n_walks)
+    workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, jobs))
+    else:
+        rows = [row(job) for job in jobs]
+    pass_rate = sum(r["pass"] for r in rows) / len(rows)
     return ExperimentReport(
         "fk_pde_crosscheck", rows,
         ["H", "realization", "fk_mean", "fk_stderr", "pde_value",

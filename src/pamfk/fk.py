@@ -4,15 +4,13 @@ The solution at (t, x) is the walk-average of u_o(X(t)) times the
 exponential of a noise functional along the time-reversed path: either
 the rough increment sum (the stochastic integral) or the mollified
 integral of dW_eps.  Estimators draw their walks in fixed-size blocks,
-one random stream per block, so they are deterministic given (seed,
-n_walks) and independent of the worker count.
+one random stream per block, and run in the calling process, so they
+are deterministic given (seed, n_walks).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,6 +141,14 @@ class WalkBatch:
         return total
 
 
+def require_fine_grid(grid: TimeGrid, epsilon: float | None) -> None:
+    """ValueError unless step <= eps/4; epsilon None takes any grid."""
+    if epsilon is not None and epsilon < 4.0 * grid.step - 1e-12:
+        raise ValueError(
+            f"grid too coarse for epsilon={epsilon}: need step <= eps/4, "
+            f"got step={grid.step}; refine the grid")
+
+
 class GridFunctionalEvaluator:
     """Evaluates rough and mollified FK exponents against one grid field.
 
@@ -158,10 +164,7 @@ class GridFunctionalEvaluator:
         self.grid: TimeGrid = field.grid
         self._ed = (EpsilonDerivative(self.grid, epsilon)
                     if epsilon is not None else None)
-        if epsilon is not None and epsilon < 4.0 * self.grid.step - 1e-12:
-            raise ValueError(
-                f"grid too coarse for epsilon={epsilon}: need step <= eps/4, "
-                f"got step={self.grid.step}; refine the grid")
+        require_fine_grid(self.grid, epsilon)
         self._zi = self.grid.zero_index
 
     def exponents(self, batch: WalkBatch, mode: str) -> np.ndarray:
@@ -254,44 +257,28 @@ def exp_weights(exponents: np.ndarray) -> np.ndarray:
 _BATCH_WALKS = 512
 
 
-def _weights_block(args) -> np.ndarray:
-    (cfg, ic, field, mode, epsilon, seed, n_walks, first, stop) = args
-    evaluator = GridFunctionalEvaluator(field, epsilon)
-    out = []
-    for b in range(first, stop):
-        n = min(_BATCH_WALKS, n_walks - b * _BATCH_WALKS)
-        batch = sample_walk_batch(cfg, field.grid, mix64(seed, b), n)
-        weights = exp_weights(evaluator.exponents(batch, mode))
-        out.append(weights * [ic(site) for site in batch.terminal.tolist()])
-    return np.concatenate(out)
-
-
 def estimate_quenched(cfg: WalkConfig, ic: InitialCondition, field,
                       epsilon: float | None = None, n_walks: int = 1000,
-                      seed: int = 0, workers: int = 1) -> EstimateResult:
+                      seed: int = 0) -> EstimateResult:
     """Walk-average of FK weights for one fixed noise realization.
 
     The rough functional when epsilon is None, else the mollified one.
     The walks come in blocks of _BATCH_WALKS, block b drawn by
-    sample_walk_batch from the stream mix64(seed, b); workers take whole
-    blocks and the reduction runs in walk order, so the result depends
-    on (seed, n_walks) only and is bitwise identical for any worker count.
+    sample_walk_batch from the stream mix64(seed, b), and the weights
+    are reduced in walk order, so the result depends on (seed, n_walks)
+    only.  It runs in the calling process; parallel work splits the
+    realizations above it (experiments.run_fk_pde_crosscheck).
     """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
     mode = "rough" if epsilon is None else "smooth"
-    n_blocks = -(-n_walks // _BATCH_WALKS)
-    n_jobs = min(max(workers, 1), n_blocks)
-    bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
-    jobs = [(cfg, ic, field, mode, epsilon, seed, n_walks, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(jobs) > 1:
-        # len(jobs) <= workers; a pool starts all its processes at once
-        with ProcessPoolExecutor(
-                max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            blocks = list(pool.map(_weights_block, jobs))
-    else:
-        blocks = [_weights_block(job) for job in jobs]
+    evaluator = GridFunctionalEvaluator(field, epsilon)
+    blocks = []
+    for b in range(-(-n_walks // _BATCH_WALKS)):
+        n = min(_BATCH_WALKS, n_walks - b * _BATCH_WALKS)
+        batch = sample_walk_batch(cfg, field.grid, mix64(seed, b), n)
+        w = exp_weights(evaluator.exponents(batch, mode))
+        blocks.append(w * [ic(site) for site in batch.terminal.tolist()])
     weights = np.concatenate(blocks)
     mean = float(np.sum(weights) / n_walks)
     std = float(np.std(weights, ddof=1)) if n_walks > 1 else 0.0

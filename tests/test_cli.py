@@ -12,7 +12,7 @@ from pamfk.cli import RunConfig, main
 from pamfk.experiments import EXPERIMENTS
 from pamfk.fk import ClampError
 from pamfk.quadrature import QuadratureError
-from test_golden import VALIDATE_CONFIG
+from test_golden import README_CONFIG, VALIDATE_CONFIG
 
 
 SMOOTH_PDE_CONFIG = {"hurst": 0.5, "step": 0.0125, "horizon": 1.0, "pad": 0.1,
@@ -153,8 +153,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("n_walks", 0), ("n_walks", -5), ("n_inner", 0), ("workers", 0),
-        ("workers", -2), ("n_realizations", 0)])
+        ("n_walks", 0), ("n_walks", -5), ("n_samples", 0), ("n_samples", -5),
+        ("n_inner", 0), ("workers", 0), ("workers", -2),
+        ("n_realizations", 0)])
     def test_count_below_one(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
                            **{"n_walks": 10, key: value})
@@ -195,7 +196,10 @@ class TestConfigValidation:
         ({"u0": "indicator", "u0_site": [0, 0]}, "'u0_site'"),
         ({"mode": "rough", "epsilon": 0.25, "run_pde": True},
          "smooth equation only"),
-    ], ids=["mode", "mode_no_fk", "u0_site_dim", "rough_pde"])
+        ({"mode": "smooth", "epsilon": 0.25, "pad": 0.25, "run_pde": True,
+          "run_fk": False}, "grid too coarse"),
+    ], ids=["mode", "mode_no_fk", "u0_site_dim", "rough_pde",
+            "coarse_pde_only"])
     def test_solve_config_error_writes_nothing(self, tmp_path, capsys, data,
                                                text):
         cfg = write_config(tmp_path, hurst=0.5, step=0.125, horizon=1.0,
@@ -258,6 +262,19 @@ class TestSolve:
         sol = read_data_rows(os.path.join(out, "solution.csv"))
         assert sol[0] == ["t", "x0", "u"]
         assert len(sol) == 1 + 11  # radius-5 box
+
+    def test_worker_count_invariance(self, tmp_path):
+        # 1300 walks are three blocks, the last one partial
+        cfg = write_config(tmp_path, **dict(json.loads(README_CONFIG),
+                                            n_walks=1300))
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(["solve", "--config", cfg, "--out", str(out),
+                         "--workers", str(workers)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("estimates.csv", "solution.csv")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestKernelsCommand:

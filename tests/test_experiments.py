@@ -1,8 +1,11 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pamfk.experiments
 from pamfk._seeds import mix64, site_seed
 from pamfk.experiments import (EXPERIMENTS, RateFit, SweepSpec,
                                fit_loglog, fixed_jump_path,
@@ -120,6 +123,40 @@ def test_fk_pde_crosscheck_small():
     spec = SweepSpec(hursts=(0.5,), n_realizations=3, master_seed=11)
     report = run_fk_pde_crosscheck(spec, n_walks=2000)
     assert report.passed
+
+
+def test_crosscheck_pool_capped_at_jobs_and_cpus(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records max_workers and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(pamfk.experiments, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # one job per (H, realization): 5 jobs hit the cpu cap, 2 jobs the
+    # job cap and 2 workers the worker cap
+    for workers, n_real, cap in ((500, 5, 3), (500, 2, 2), (2, 5, 2)):
+        spec = SweepSpec(hursts=(0.5,), n_realizations=n_real,
+                         master_seed=11, workers=workers)
+        pooled = run_fk_pde_crosscheck(spec, n_walks=50)
+        assert started.pop() == cap
+        serial = run_fk_pde_crosscheck(replace(spec, workers=1),
+                                       n_walks=50)
+        assert pooled.rows == serial.rows
+    assert started == []
 
 
 def test_registry_names():

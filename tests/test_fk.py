@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -410,54 +409,6 @@ class TestQuenchedEstimator:
                               InitialCondition.constant(),
                               ZeroField(TimeGrid(0.05, 1.0)),
                               n_walks=n_walks)
-
-    def test_worker_count_invariance(self):
-        # 1300 walks are three blocks, the last one partial
-        g = TimeGrid(0.02, 1.0, pad=0.08)
-        f = HurstField(HurstParameter(0.6), g, 12)
-        cfg = WalkConfig(1, 1.0, 1.0)
-        ic = InitialCondition.indicator((0,))
-        kw = dict(epsilon=0.08, n_walks=1300, seed=5)
-        serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
-        for workers in (2, 3):
-            parallel = estimate_quenched(cfg, ic, f, workers=workers, **kw)
-            assert parallel.mean == serial.mean
-            assert parallel.stderr == serial.stderr
-
-    def test_pool_capped_at_blocks_and_cpus(self, monkeypatch):
-        started = []
-
-        class InProcessPool:
-            """Records max_workers and runs the blocks in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(pamfk.fk, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        g = TimeGrid(0.02, 1.0, pad=0.08)
-        f = HurstField(HurstParameter(0.6), g, 12)
-        cfg = WalkConfig(1, 1.0, 1.0)
-        ic = InitialCondition.constant()
-        # workers take whole 512-walk blocks: 5 blocks hit the cpu cap,
-        # 2 blocks the block cap and 2 workers the worker cap
-        for workers, n_walks, cap in ((500, 5 * 512, 3), (500, 2 * 512, 2),
-                                      (2, 5 * 512, 2)):
-            kw = dict(epsilon=0.08, n_walks=n_walks, seed=5)
-            pooled = estimate_quenched(cfg, ic, f, workers=workers, **kw)
-            assert started.pop() == cap
-            serial = estimate_quenched(cfg, ic, f, workers=1, **kw)
-            assert (pooled.mean, pooled.stderr) == (serial.mean, serial.stderr)
-        assert started == []
 
     def test_clamp_raises_by_default(self):
         g = TimeGrid(0.02, 1.0, pad=0.08)

@@ -21,6 +21,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from pamfk.cli import main as cli_main
 from pamfk.experiments import SweepSpec, run_ueps_convergence, write_report
 from pamfk.fbm import HurstField, HurstParameter, TimeGrid
@@ -98,13 +100,14 @@ def solve_digests(tmp_dir: str) -> tuple[str, str]:
     return digests[0], digests[1]
 
 
-def validate_digest(tmp_dir: str) -> str:
+def validate_digest(tmp_dir: str, workers: int = 1) -> str:
     """Digest of every file `pamfk validate` writes, keyed by file name."""
     cfg_path = os.path.join(tmp_dir, "cfg.json")
     with open(cfg_path, "w") as fh:
         json.dump(VALIDATE_CONFIG, fh)
     out = os.path.join(tmp_dir, "validate")
-    cli_main(["validate", "--config", cfg_path, "--out", out])
+    cli_main(["validate", "--config", cfg_path, "--out", out,
+              "--workers", str(workers)])
     names = sorted(os.listdir(out))
     assert len(names) == 10
     h = hashlib.sha256()
@@ -165,8 +168,11 @@ def test_solve_readme_golden(tmp_path):
     assert sol == GOLDEN["solve_solution"]
 
 
-def test_validate_golden(tmp_path):
-    assert validate_digest(str(tmp_path)) == GOLDEN["validate"]
+# At 2 workers, on two or more CPUs, the two fk_pde_crosscheck
+# realizations run in a real two-process pool.
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers1", "workers2"])
+def test_validate_golden(tmp_path, workers):
+    assert validate_digest(str(tmp_path), workers) == GOLDEN["validate"]
 
 
 def test_kernels_golden():

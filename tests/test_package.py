@@ -33,3 +33,15 @@ def test_every_import_is_used():
                         and "# noqa: F401" not in lines[alias.lineno - 1]):
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_one_module_imports_the_process_pool():
+    # parallel work is split on the outer loop only
+    importers = []
+    for path in sorted(pathlib.Path(pamfk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(alias.name.split(".")[-1] == "ProcessPoolExecutor"
+                            for alias in node.names)):
+                importers.append(path.name)
+    assert importers == ["experiments.py"]
