@@ -9,6 +9,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,16 +19,16 @@ from functools import partial
 import numpy as np
 
 from ._seeds import mix64
-from .fbm import HurstField, HurstParameter, TimeGrid
-from .fk import (GridFunctionalEvaluator, InitialCondition,
-                 estimate_quenched, exp_weights, sample_walk_batch)
+from .fbm import EpsilonDerivative, HurstField, HurstParameter, TimeGrid
+from .fk import (_BATCH_WALKS, InitialCondition, estimate_quenched,
+                 exp_weights, exponent_table, tagged_walk_batch)
 # Not called here; kept because perfbench patches and deletes this binding.
 from .fk import sample_walk_snapped  # noqa: F401
 from .kernels import kernel_sweep_rows, prop41_variance
 from .pde import (BoxDomain, SolverConfig, default_radius, richardson_check,
                   solve_mollified)
 from .walk import (WalkConfig, WalkPath, rough_stats_batch,
-                   sample_poisson_jump_batch)
+                   sample_poisson_jump_batch, walk_block)
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ class RateFit:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.points) < 4:
-            raise ValueError("need at least 4 points for a rate fit")
+        _require_fit_points(len(self.points))
         if not math.isfinite(self.slope):
             raise ValueError("slope must be finite")
 
@@ -79,6 +79,13 @@ class ExperimentReport:
     passed: bool
     criterion: str
     fits: dict = _dc_field(default_factory=dict)
+
+
+def _require_fit_points(n: int) -> None:
+    """ValueError unless a log-log rate fit has at least 4 points; the
+    sweeps call it on their epsilon ladder before drawing anything."""
+    if n < 4:
+        raise ValueError(f"need at least 4 points for a rate fit, got {n}")
 
 
 def fit_loglog(epsilons, errors) -> RateFit:
@@ -113,6 +120,7 @@ def run_rate_sweep(spec: SweepSpec) -> ExperimentReport:
     For fixed seeded paths, fits log prop41_variance against log eps;
     passes iff every slope is at least min(2H, 1) - 0.1 with r^2 >= 0.95.
     """
+    _require_fit_points(len(spec.epsilons))
     rows = []
     fits = {}
     passed = True
@@ -140,9 +148,49 @@ def run_rate_sweep(spec: SweepSpec) -> ExperimentReport:
         fits)
 
 
-def _ueps_grid(spec: SweepSpec) -> TimeGrid:
+def _ueps_grid(spec: SweepSpec
+               ) -> tuple[TimeGrid, list[EpsilonDerivative]]:
+    """The sweep's grid, step epsilons[-1]/4 and pad epsilons[0], and the
+    epsilon-derivative of every ladder entry on it."""
     step = spec.epsilons[-1] / 4.0
-    return TimeGrid(step, spec.horizon, pad=spec.epsilons[0])
+    try:
+        grid = TimeGrid(step, spec.horizon, pad=spec.epsilons[0])
+        return grid, [EpsilonDerivative(grid, eps) for eps in spec.epsilons]
+    except ValueError as exc:
+        raise ValueError(
+            f"ueps_convergence derives its grid step as epsilons[-1]/4 = "
+            f"{step!r}, which must divide the horizon {spec.horizon!r} and "
+            f"every epsilon of {list(spec.epsilons)} ({exc})") from exc
+
+
+def _ueps_chunk(spec: SweepSpec, h: HurstParameter, grid: TimeGrid,
+                derivatives: list[EpsilonDerivative],
+                samples: range) -> np.ndarray:
+    """sq[:, samples] of run_ueps_convergence, the samples as one batch.
+
+    Sample k draws its walks from mix64(master_seed, 13, k) and reads its
+    own field, seeded mix64(master_seed, 11, k), at the sites they touch.
+    Every table row and every walk's exponent is the one a sample-by-sample
+    loop computes, so the squares are bit-identical to it.
+    """
+    cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
+    batch = tagged_walk_batch(cfg, grid, [
+        walk_block(cfg, np.random.default_rng(mix64(spec.master_seed, 13, k)),
+                   spec.n_inner) for k in samples])
+    # batch.sites are (sample position in the chunk, *site), sorted
+    paths = np.concatenate([
+        HurstField(h, grid, mix64(spec.master_seed, 11, k)).paths_on_grid(
+            [site[1:] for site in group])
+        for k, (_, group) in zip(samples, itertools.groupby(
+            batch.sites, key=lambda site: site[0]))])
+    rough_w = exp_weights(batch.gather(exponent_table(paths, grid, None)))
+    sq = np.empty((len(derivatives), len(samples)))
+    for e_i, derivative in enumerate(derivatives):
+        smooth_w = exp_weights(
+            batch.gather(exponent_table(paths, grid, derivative)))
+        sq[e_i] = np.mean((smooth_w - rough_w).reshape(len(samples), -1),
+                          axis=1) ** 2
+    return sq
 
 
 def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
@@ -152,25 +200,25 @@ def run_ueps_convergence(spec: SweepSpec) -> ExperimentReport:
     draw shares its walks between the rough and every mollified
     functional.  Passes iff for each H the column decreases overall
     (final/first < 1/4) and the fitted slope clears min(2H,1) - 0.2.
+    Outer samples are evaluated in chunks of at most _BATCH_WALKS walks
+    (one sample per chunk if n_inner is larger), capped further so a
+    chunk's walks times grid points stays within _BATCH_WALKS squared;
+    the chunking changes no value.
     """
-    grid = _ueps_grid(spec)
-    cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
+    _require_fit_points(len(spec.epsilons))
+    grid, derivatives = _ueps_grid(spec)
+    walks = min(_BATCH_WALKS, _BATCH_WALKS ** 2 // grid.total_points)
+    chunk = max(1, walks // spec.n_inner)
     rows = []
     fits = {}
     passed = True
     for hv in spec.hursts:
         h = HurstParameter(hv)
         sq = np.zeros((len(spec.epsilons), spec.n_samples))
-        for k in range(spec.n_samples):
-            fld = HurstField(h, grid, mix64(spec.master_seed, 11, k))
-            walks = sample_walk_batch(
-                cfg, grid, mix64(spec.master_seed, 13, k), spec.n_inner)
-            rough_w = exp_weights(
-                GridFunctionalEvaluator(fld).exponents(walks, "rough"))
-            for e_i, eps in enumerate(spec.epsilons):
-                smooth_w = exp_weights(GridFunctionalEvaluator(
-                    fld, eps).exponents(walks, "smooth"))
-                sq[e_i, k] = np.mean(smooth_w - rough_w) ** 2
+        for k0 in range(0, spec.n_samples, chunk):
+            samples = range(k0, min(k0 + chunk, spec.n_samples))
+            sq[:, k0:samples.stop] = _ueps_chunk(spec, h, grid, derivatives,
+                                                 samples)
         means = sq.mean(axis=1)
         stderrs = sq.std(axis=1, ddof=1) / math.sqrt(spec.n_samples)
         fit = fit_loglog(spec.epsilons, means)

@@ -71,7 +71,8 @@ class WalkBatch:
     order; terminal[i] is walk i's site at the horizon.
 
     WalkBatch(paths, grid) flattens WalkPaths; the FK estimators build
-    their batches straight from arrays with sample_walk_batch.
+    their batches straight from arrays with sample_walk_batch, and the
+    u_eps sweep lays many blocks out at once with tagged_walk_batch.
     """
 
     def __init__(self, paths: Sequence[WalkPath], grid: TimeGrid) -> None:
@@ -149,14 +150,32 @@ def require_fine_grid(grid: TimeGrid, epsilon: float | None) -> None:
             f"got step={grid.step}; refine the grid")
 
 
+def exponent_table(paths: np.ndarray, grid: TimeGrid,
+                   derivative: EpsilonDerivative | None) -> np.ndarray:
+    """The per-site table a WalkBatch gathers its FK exponents from.
+
+    paths holds grid paths row by row, such as paths_on_grid rows.  With
+    derivative None the table is W on [0, horizon] (rough functional),
+    else the cumulative trapezoid of dW_eps from 0 (mollified one).  Each
+    row depends on its own path only.
+    """
+    if derivative is None:
+        zi = grid.zero_index
+        return paths[:, zi:zi + grid.count]
+    dw = derivative.grid_values(paths)
+    return np.concatenate(
+        [np.zeros((len(dw), 1)),
+         np.cumsum(0.5 * (dw[:, :-1] + dw[:, 1:]) * grid.step, axis=1)],
+        axis=1)
+
+
 class GridFunctionalEvaluator:
     """Evaluates rough and mollified FK exponents against one grid field.
 
     Jump times are snapped to the nearest grid point, which keeps both
     functionals on the same probability space.  A walk batch's exponents
-    are gathers from one table built from a single paths_on_grid read of
-    the batch's sites: W on [0, horizon] for the rough functional, the
-    cumulative trapezoid of dW_eps for the smooth one.
+    are gathers from one exponent_table built from a single paths_on_grid
+    read of the batch's sites.
     """
 
     def __init__(self, field, epsilon: float | None = None) -> None:
@@ -165,7 +184,6 @@ class GridFunctionalEvaluator:
         self._ed = (EpsilonDerivative(self.grid, epsilon)
                     if epsilon is not None else None)
         require_fine_grid(self.grid, epsilon)
-        self._zi = self.grid.zero_index
 
     def exponents(self, batch: WalkBatch, mode: str) -> np.ndarray:
         """Rough (W increment sum) or smooth (trapezoid integral of dW_eps)
@@ -174,16 +192,9 @@ class GridFunctionalEvaluator:
             raise ValueError("evaluator built without epsilon")
         if not len(batch):
             return np.zeros(0)
-        paths = self.field.paths_on_grid(batch.sites)
-        if mode == "rough":
-            table = paths[:, self._zi:self._zi + self.grid.count]
-        else:
-            dw = self._ed.grid_values(paths)
-            table = np.concatenate(
-                [np.zeros((len(dw), 1)),
-                 np.cumsum(0.5 * (dw[:, :-1] + dw[:, 1:]) * self.grid.step,
-                           axis=1)], axis=1)
-        return batch.gather(table)
+        return batch.gather(exponent_table(
+            self.field.paths_on_grid(batch.sites), self.grid,
+            self._ed if mode == "smooth" else None))
 
     def rough(self, path: WalkPath) -> float:
         """Sum of W increments over the time-reversed path's segments."""
@@ -241,6 +252,24 @@ def sample_walk_batch(cfg: WalkConfig, grid: TimeGrid, seed: int,
     counts, times, sites = walk_block(cfg, np.random.default_rng(seed), n)
     return WalkBatch._from_arrays(counts, times, sites,
                                   np.full(n, cfg.horizon), grid)
+
+
+def tagged_walk_batch(cfg: WalkConfig, grid: TimeGrid,
+                      blocks: Sequence[tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]]) -> WalkBatch:
+    """The walk_block outputs in blocks laid out as one WalkBatch.
+
+    Every site of block j gets j as a leading coordinate, so batch.sites
+    (and terminal) read (j, *site): they are sorted by block, and no two
+    blocks share a table row.  The walks keep their order, block by block.
+    """
+    counts, times, sites = zip(*blocks)
+    tagged = [np.column_stack([np.full(len(s), j, dtype=np.intp), s])
+              for j, s in enumerate(sites)]
+    counts = np.concatenate(counts)
+    return WalkBatch._from_arrays(
+        counts, np.concatenate(times), np.concatenate(tagged),
+        np.full(len(counts), cfg.horizon), grid)
 
 
 def exp_weights(exponents: np.ndarray) -> np.ndarray:

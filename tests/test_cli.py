@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pamfk.cli
+import pamfk.experiments
 import pamfk.fbm
 from pamfk.cli import RunConfig, main
 from pamfk.experiments import EXPERIMENTS
@@ -93,6 +94,39 @@ class TestConfigValidation:
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["ueps_convergence", "rate_sweep"])
+    def test_short_ladder_fails_before_sampling(self, tmp_path, capsys,
+                                                monkeypatch, fbm_draws,
+                                                name):
+        variances = []
+        monkeypatch.setattr(pamfk.experiments, "prop41_variance",
+                            lambda *args: variances.append(args))
+        cfg = write_config(tmp_path, experiment=name,
+                           epsilons=[0.1, 0.05, 0.025], n_samples=2000)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        assert ("need at least 4 points for a rate fit, got 3"
+                in capsys.readouterr().err)
+        assert fbm_draws == [] and variances == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilons, step, cause", [
+        ([0.1, 0.07, 0.05, 0.03], "0.0075", "step must divide horizon"),
+        ([0.1, 0.07, 0.05, 0.025], "0.00625", "exact multiple of grid.step"),
+    ], ids=["horizon", "epsilon"])
+    def test_ueps_derived_step_named(self, tmp_path, capsys, fbm_draws,
+                                     epsilons, step, cause):
+        # the user sets no step: ueps_convergence derives it from the ladder
+        cfg = write_config(tmp_path, experiment="ueps_convergence",
+                           epsilons=epsilons, n_samples=100)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"epsilons[-1]/4 = {step}" in err
+        assert "horizon 1.0" in err and str(epsilons) in err and cause in err
+        assert fbm_draws == []
+        assert not out.exists()
 
     def test_wrong_type(self, tmp_path):
         cfg = write_config(tmp_path, hurst="half", step=0.125, horizon=1.0)

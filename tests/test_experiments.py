@@ -105,9 +105,11 @@ def test_ueps_convergence_brownian_small():
     assert report.fits[0.5].slope > 0.5
 
 
-def test_ueps_outer_sample_draws_each_touched_site_once(fbm_draws):
+# 5 walks: 102 samples per 512-walk chunk; 600: one sample over a chunk
+@pytest.mark.parametrize("n_inner", [5, 600])
+def test_ueps_outer_sample_draws_each_touched_site_once(fbm_draws, n_inner):
     spec = SweepSpec(hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
-                     n_samples=100, n_inner=5, master_seed=4)
+                     n_samples=100, n_inner=n_inner, master_seed=4)
     run_ueps_convergence(spec)
     cfg = WalkConfig(spec.dim, spec.kappa, spec.horizon)
     expected = []

@@ -385,11 +385,15 @@ class TestNoWalkPathInHotLoops:
                           epsilon=epsilon, n_walks=50, seed=3)
         assert walk_paths == []
 
-    def test_ueps_convergence(self, walk_paths):
+    def test_ueps_convergence(self, walk_paths, monkeypatch):
+        # chunks gather from exponent_table directly, with no evaluator
+        evaluators = []
+        monkeypatch.setattr(GridFunctionalEvaluator, "__init__",
+                            lambda *args: evaluators.append(args))
         run_ueps_convergence(SweepSpec(
             hursts=(0.5,), epsilons=(0.1, 0.05, 0.025, 0.0125),
             n_samples=100, n_inner=2, master_seed=1))
-        assert walk_paths == []
+        assert walk_paths == [] and evaluators == []
 
 
 class TestQuenchedEstimator:

@@ -4,6 +4,10 @@ The ueps_rows, quenched, solve_estimates, solve_solution and validate
 digests were recorded when FK walks became rejection-free 512-walk block
 streams, because redrawing walks whose snapped jumps collided biased the
 walk law, and when fGn moved to irfft on the Hermitian half spectrum.
+The ueps_d2_inner7 and ueps_d2_inner600 digests were recorded from the
+sample-by-sample u_eps loop, before its outer samples were evaluated in
+chunks of at most 512 walks: at n_inner 7 the last chunk is partial, at
+600 one sample is larger than a chunk.
 The kernels digest pins the closed forms and the exact mode; it was
 recorded before adaptive_simpson started to bisect every piece MIN_DEPTH
 times, a deliberate change of the quadrature oracle's values that the
@@ -35,6 +39,10 @@ from pamfk.walk import WalkConfig, sample_walk
 GOLDEN = {
     "ueps_rows":
         "25c66f05d14e17bb8bd22fd5f44742f5f4ccdc6d0e9d8e0516af1c9faace50d1",
+    "ueps_d2_inner7":
+        "a9cf28a8b475718618a702abfb705e508c2bd969f1171000aa58f9ccfa95ed55",
+    "ueps_d2_inner600":
+        "b9b98eb2d8b7abdb22aa6328253e581e86279f9409a97edd998ffe3fbbe355b0",
     "quenched":
         "64ad708ba65246ddf89510775dcbee0065ff09d0f1080d91d3b9422b569f2b06",
     "solve_estimates":
@@ -65,10 +73,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def ueps_digest(tmp_dir: str) -> str:
+def ueps_digest(tmp_dir: str, dim: int = 1, n_inner: int = 10) -> str:
     spec = SweepSpec(hursts=(0.25, 0.75),
-                     epsilons=(0.1, 0.05, 0.025, 0.0125),
-                     n_samples=100, n_inner=10, master_seed=0)
+                     epsilons=(0.1, 0.05, 0.025, 0.0125), dim=dim,
+                     n_samples=100, n_inner=n_inner, master_seed=0)
     csv_path, _ = write_report(run_ueps_convergence(spec), tmp_dir)
     with open(csv_path, "rb") as fh:
         return _sha(fh.read())
@@ -156,6 +164,12 @@ def kernels_quad_digest() -> str:
 
 def test_ueps_rows_golden(tmp_path):
     assert ueps_digest(str(tmp_path)) == GOLDEN["ueps_rows"]
+
+
+@pytest.mark.parametrize("n_inner", [7, 600])
+def test_ueps_rows_d2_ragged_chunks_golden(tmp_path, n_inner):
+    assert (ueps_digest(str(tmp_path), dim=2, n_inner=n_inner)
+            == GOLDEN[f"ueps_d2_inner{n_inner}"])
 
 
 def test_quenched_golden():
